@@ -213,62 +213,57 @@ def balanced_exists(n, triples, max_degree):
     subgroup.  DFS over multiplicities with two prunes: the final size is at
     least sum_v max_slot_count(v), and a slot deficit for a value must be
     fillable by some remaining triple.
+
+    Skipping a triple changes no count, so a node skips ahead in a loop, up
+    to the first position past which some deficit can no longer be filled,
+    and recurses only to use a triple: the depth stays within
+    max_degree + 1 however many triples there are.  The positions are tried
+    last-first, the order of one recursion per skip.
     """
     m = len(triples)
     if m == 0:
         return False
-    cnt = [[0] * (n + 1) for _ in range(3)]
-    # avail[idx][s][v]: does any triple at position >= idx carry value v in slot s
-    avail = [[[False] * (n + 1) for _ in range(3)] for _ in range(m + 1)]
-    for idx in range(m - 1, -1, -1):
-        for s in range(3):
-            row_prev = avail[idx + 1][s]
-            row = avail[idx][s]
-            for v in range(n + 1):
-                row[v] = row_prev[v]
-        t = triples[idx]
-        for s in range(3):
-            avail[idx][s][t[s]] = True
-
-    def need():
-        total = 0
-        for v in range(1, n + 1):
-            total += max(cnt[0][v], cnt[1][v], cnt[2][v])
-        return total
-
-    def balanced():
-        for v in range(1, n + 1):
-            if cnt[0][v] != cnt[1][v] or cnt[0][v] != cnt[2][v]:
-                return False
-        return True
+    cnt = [[0, 0, 0] for _ in range(n + 1)]  # cnt[v][s]: factors with v in slot s
+    # last_s[v]: the last position whose triple carries v in slot s, or -1
+    last0, last1, last2 = ([-1] * (n + 1) for _ in range(3))
+    for idx, (i, j, k) in enumerate(triples):
+        last0[i] = last1[j] = last2[k] = idx
 
     def rec(idx, deg):
-        if deg >= 1 and balanced():
+        lower = 0
+        end = m
+        balanced = True
+        for v in range(1, n + 1):
+            c0, c1, c2 = cnt[v]
+            if c0 == c1 == c2:
+                lower += c0
+                continue
+            balanced = False
+            top = max(c0, c1, c2)
+            lower += top
+            if c0 < top and last0[v] < end:
+                end = last0[v] + 1
+            if c1 < top and last1[v] < end:
+                end = last1[v] + 1
+            if c2 < top and last2[v] < end:
+                end = last2[v] + 1
+        if balanced and deg >= 1:
             return True
-        if idx == m:
-            return False
-        lower = need()
         if lower > max_degree:
             return False
-        for v in range(1, n + 1):
-            top = max(cnt[0][v], cnt[1][v], cnt[2][v])
-            for s in range(3):
-                if cnt[s][v] < top and not avail[idx][s][v]:
-                    return False
-        t = triples[idx]
-        if rec(idx + 1, deg):
-            return True
-        used = 0
-        while deg + used < max_degree:
-            used += 1
-            for s in range(3):
-                cnt[s][t[s]] += 1
-            if rec(idx + 1, deg + used):
+        for k in range(end - 1, idx - 1, -1):
+            t = triples[k]
+            used = 0
+            while deg + used < max_degree:
+                used += 1
                 for s in range(3):
-                    cnt[s][t[s]] -= used
-                return True
-        for s in range(3):
-            cnt[s][t[s]] -= used
+                    cnt[t[s]][s] += 1
+                if rec(k + 1, deg + used):
+                    for s in range(3):
+                        cnt[t[s]][s] -= used
+                    return True
+            for s in range(3):
+                cnt[t[s]][s] -= used
         return False
 
     return rec(0, 0)

@@ -1,26 +1,5 @@
 """Runtime knobs shared by library and CLI."""
 
-import os
-
-from .errors import InvalidValueError
-
 #: component enumeration is complete up to this format; beyond it the tool
 #: refuses unless best-effort mode is requested
 ENUMERATION_CAP = 3
-
-
-def thread_cap():
-    """Upper bound on internal worker threads.
-
-    Reads BORDERSUB_THREADS; defaults to the machine's core count.  Results
-    never depend on the value, only wall-clock time may."""
-    raw = os.environ.get("BORDERSUB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidValueError(f"BORDERSUB_THREADS={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise InvalidValueError("BORDERSUB_THREADS must be >= 1")
-    return cap

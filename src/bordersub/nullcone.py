@@ -29,15 +29,13 @@ fast:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from threading import Lock
 
 from . import config
-from .errors import CapExceededError, InternalError, PreconditionError
+from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
 from .simplex import feasible_point
 from .tensors import Support
 from .weights import TorusWeight, weight_of
@@ -158,27 +156,9 @@ class ComponentEnumeration:
         }
 
 
-class _Collector:
-    """Deduplicating result collector with merge semantics; thread safe."""
-
-    def __init__(self):
-        self._lock = Lock()
-        self._found = {}
-
-    def add(self, triples):
-        with self._lock:
-            self._found[triples] = frozenset(triples)
-
-    def dominates(self, pool):
-        with self._lock:
-            sets = list(self._found.values())
-        return any(pool <= m for m in sets)
-
-    def results(self):
-        return list(self._found)
-
-
-def _enumerate_branch(n, universe, collector, ins, outs, undecided):
+def _enumerate(n, universe):
+    """The maximal feasible supports over universe, as sorted triple tuples."""
+    found = {}
     cache = {}
 
     def system(i, o):
@@ -210,23 +190,25 @@ def _enumerate_branch(n, universe, collector, ins, outs, undecided):
                         outs = outs | {c}
                         undecided.remove(c)
                         changed = True
-        if collector.dominates(ins | frozenset(undecided)):
+        pool = ins | frozenset(undecided)
+        if any(pool <= m for m in found.values()):
             return
         if not undecided:
             for t in universe:
                 if t not in ins and system(ins | {t}, frozenset())[0]:
                     return  # feasible but not maximal
-            collector.add(tuple(sorted(ins)))
+            found[tuple(sorted(ins))] = ins
             return
         c = undecided[0]
         rest = undecided[1:]
         dfs(ins | {c}, outs, rest)
         dfs(ins, outs | {c}, rest)
 
-    dfs(ins, outs, tuple(undecided))
+    dfs(frozenset(), frozenset(), tuple(universe))
+    return list(found)
 
 
-def enumerate_maximal_components(n, best_effort=False, threads=None) -> ComponentEnumeration:
+def enumerate_maximal_components(n, best_effort=False) -> ComponentEnumeration:
     """All maximal supports inside the nullcone, canonically ordered.
 
     Complete (and asserted so) for n <= ENUMERATION_CAP; beyond the cap the
@@ -234,6 +216,8 @@ def enumerate_maximal_components(n, best_effort=False, threads=None) -> Componen
     is flagged complete=False.  Diagonal triples never occur (their weight
     is identically zero) so the search ranges over the off-diagonal cube.
     """
+    if n < 1:
+        raise InvalidValueError("n must be positive")
     complete = n <= config.ENUMERATION_CAP
     if not complete and not best_effort:
         raise CapExceededError(
@@ -241,20 +225,6 @@ def enumerate_maximal_components(n, best_effort=False, threads=None) -> Componen
             "pass best_effort to search anyway"
         )
     universe = [t for t in product(range(1, n + 1), repeat=3) if not (t[0] == t[1] == t[2])]
-    collector = _Collector()
-    cap = config.thread_cap() if threads is None else threads
-    if cap >= 2 and universe:
-        c = universe[0]
-        rest = tuple(universe[1:])
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            jobs = [
-                pool.submit(_enumerate_branch, n, universe, collector, frozenset([c]), frozenset(), rest),
-                pool.submit(_enumerate_branch, n, universe, collector, frozenset(), frozenset([c]), rest),
-            ]
-            for j in jobs:
-                j.result()
-    else:
-        _enumerate_branch(n, universe, collector, frozenset(), frozenset(), universe)
-    comps = [Support.of(n, ts) for ts in collector.results()]
+    comps = [Support.of(n, ts) for ts in _enumerate(n, universe)]
     comps.sort(key=lambda s: (-len(s), s.sorted_triples()))
     return ComponentEnumeration(n, complete, tuple(comps))

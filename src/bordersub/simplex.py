@@ -1,22 +1,43 @@
 """Exact rational linear feasibility via a phase-1 simplex with integer
-pivoting.
+pivoting, kept in dictionary form.
 
 Decides whether {x in Q^d : a_r . x >= b_r for all r} is nonempty and, when
-it is, returns one rational solution.  Free variables are split into
-differences of nonnegatives, surplus variables turn inequalities into
-equations, and a full set of artificial variables provides the starting
-basis; feasibility holds iff the artificial objective minimizes to zero.
+it is, returns one rational solution.  The textbook phase-1 tableau splits
+each free variable as x_j = u_j - v_j, gives each row r a surplus sur_r, and
+starts from a basis of artificials art_r after negating the rows with
+b_r < 0 (sign s_r = -1, else +1); the system is feasible iff the artificial
+objective minimizes to zero.
 
-The tableau is kept as an integer matrix over a common positive denominator
-(Edmonds-style integer pivoting): a pivot on entry p rescales every other
-row by p/den with the Bareiss cross-multiplication, whose divisions are
-exact because all entries are minors of the original integer system.  This
-avoids per-operation gcd work entirely while staying exact.
+That tableau has 2d + 2m columns, but every row operation is linear, so the
+relations that hold at the start hold for ever: column v_j = -u_j, column
+art_r = -s_r * sur_r, and the reduced costs z(v_j) = -z(u_j),
+z(art_r) = den - s_r * z(sur_r) (the artificial carries cost 1, scaled by
+the common denominator).  Basic columns are den * e_i and carry no
+information.  So the u_j/v_j and sur_r/art_r pairs are the real unknowns:
+m of them are basic at any time (never both members of one pair, as their
+columns are parallel) and d are not.  Only the d nonbasic pairs are stored
+(Chvatal, "Linear Programming", 1983): an m x d integer matrix holding the
+column of each pair's first member (u_j or sur_r) and its reduced cost.  The
+other member is derived when Bland's rule looks at it.
 
-Bland's pivoting rule (least eligible index, both entering and leaving)
-guarantees termination and makes the answer deterministic.  The systems
-solved here are tiny (at most 2n free variables and ~n^3 constraints), so
-no effort is spent on sparsity.
+Bland's rule (least eligible index, entering and leaving; Bland 1977) still
+runs over the virtual order u, v, sur, art, so the pivot sequence, and
+hence the returned vertex, equals the full tableau's.  Two kinds of pivot
+occur:
+
+* a normal pivot brings in a member of a nonbasic pair; the leaving pair's
+  first-member column takes the entering pair's slot;
+* a partner swap brings in sur_r while art_r is basic, which happens only
+  for s_r = -1 (reduced cost -den).  Its column is +den * e_i, so the
+  pivot changes no row: it adds the pivot row to the reduced costs and its
+  right-hand side to the objective, and relabels the basis entry.
+
+Arithmetic is fraction-free (Edmonds/Bareiss integer pivoting): a pivot on
+entry p rescales every other row by p/den with a cross-multiplication whose
+division is exact, since all entries are minors of the original integer
+system, and the pivot row stays unscaled.  Integer input, which every
+caller in this package passes, never touches Fraction until the returned
+point is built; rational rows are first scaled to integers one by one.
 """
 
 from __future__ import annotations
@@ -25,97 +46,145 @@ from fractions import Fraction
 from math import lcm
 
 
+def _integer_rows(constraints):
+    """Each row and its rhs scaled by a positive integer to integers."""
+    cons = []
+    for row, b in constraints:
+        if type(b) is int and all(type(c) is int for c in row):
+            cons.append((row, b))
+            continue
+        row = [Fraction(c) for c in row]
+        b = Fraction(b)
+        den = lcm(b.denominator, *(c.denominator for c in row))
+        cons.append(([int(c * den) for c in row], int(b * den)))
+    return cons
+
+
 def feasible_point(num_vars, constraints):
     """One rational solution of {coeffs . x >= rhs}, or None when
     infeasible.  Constraint entries may be ints or rationals."""
     d = num_vars
-    cons = []
-    for row, b in constraints:
-        row = [Fraction(c) for c in row]
-        b = Fraction(b)
-        den = lcm(b.denominator, *(c.denominator for c in row)) if row else b.denominator
-        cons.append(([int(c * den) for c in row], int(b * den)))
+    cons = _integer_rows(constraints)
     if not cons:
         return [Fraction(0)] * d
     m = len(cons)
+    # virtual column indices: u_j = j, v_j = d + j, sur_r = 2d + r,
+    # art_r = 2d + m + r; a pair is named by its first member (u_j, sur_r)
+    V, SUR, ART = d, 2 * d, 2 * d + m
+    neg = [b < 0 for _, b in cons]
 
-    # columns: u_0..u_{d-1}, v_0..v_{d-1} (x = u - v), surplus, artificials
-    N = 2 * d + 2 * m
-    T = [[0] * N for _ in range(m)]
+    cols = [[0] * m for _ in range(d)]  # cols[k]: first-member column of slot k
     rhs = [0] * m
     for r, (row, b) in enumerate(cons):
-        tr = T[r]
-        for j, c in enumerate(row):
-            tr[j] = c
-            tr[d + j] = -c
-        tr[2 * d + r] = -1
         if b < 0:
-            for j in range(N):
-                tr[j] = -tr[j]
-            b = -b
-        tr[2 * d + m + r] = 1
-        rhs[r] = b
-
-    den = 1
-    basis = [2 * d + m + r for r in range(m)]
-    z = [0] * N
-    for j in range(2 * d + m):
-        z[j] = -sum(T[i][j] for i in range(m))
+            for j, c in enumerate(row):
+                cols[j][r] = -c
+            rhs[r] = -b
+        else:
+            for j, c in enumerate(row):
+                cols[j][r] = c
+            rhs[r] = b
+    zs = [-sum(col) for col in cols]  # reduced cost of each slot's first member
+    pair = list(range(d))  # the pair held in each slot
+    basis = [ART + r for r in range(m)]
     obj = -sum(rhs)
+    den = 1
 
     while True:
-        enter = next((j for j in range(N) if z[j] < 0), None)
+        enter = None
+        for k in range(d):
+            p, zk = pair[k], zs[k]
+            if zk < 0:  # u_j or sur_r
+                e, ze, sign = p, zk, 1
+            elif p < V:  # v_j = -u_j
+                if zk == 0:
+                    continue
+                e, ze, sign = V + p, -zk, -1
+            else:  # art_r = -s_r * sur_r
+                ze = den + zk if neg[p - SUR] else den - zk
+                if ze >= 0:
+                    continue
+                e, sign = p + m, 1 if neg[p - SUR] else -1
+            if enter is None or e < enter:
+                enter, slot, zf, esign = e, k, ze, sign
+        if enter is None or enter > SUR:
+            # sur_r with art_r basic and s_r = -1 has reduced cost -den
+            for i, var in enumerate(basis):
+                if var >= ART and neg[var - ART] and (enter is None or var - m < enter):
+                    enter, slot, leave = var - m, None, i
         if enter is None:
             break
+
+        if slot is None:  # partner swap
+            zs = [zk + col[leave] for zk, col in zip(zs, cols)]
+            obj += rhs[leave]
+            basis[leave] = enter
+            continue
+
+        col = cols[slot]
+        ecol = col if esign > 0 else [-c for c in col]
         leave = None
         for i in range(m):
-            a = T[i][enter]
+            a = ecol[i]
             if a > 0:
                 if leave is None:
                     leave = i
                 else:
-                    lhs = rhs[i] * T[leave][enter]
+                    lhs = rhs[i] * ecol[leave]
                     rhsv = rhs[leave] * a
                     if lhs < rhsv or (lhs == rhsv and basis[i] < basis[leave]):
                         leave = i
         if leave is None:
             # the phase-1 objective is bounded below by zero
             raise AssertionError("phase-1 simplex unbounded")
-        piv = T[leave][enter]
-        prow = T[leave]
-        prhs = rhs[leave]
-        for i in range(m):
-            if i == leave:
+        piv = ecol[leave]
+        for k in range(d):
+            if k == slot:
                 continue
-            row = T[i]
-            f = row[enter]
-            if f:
-                for j in range(N):
-                    row[j] = (row[j] * piv - f * prow[j]) // den
-                rhs[i] = (rhs[i] * piv - f * prhs) // den
+            c = cols[k]
+            pk = c[leave]
+            if pk:
+                c = [(x * piv - f * pk) // den for x, f in zip(c, ecol)]
+                c[leave] = pk
             else:
-                for j in range(N):
-                    row[j] = (row[j] * piv) // den
-                rhs[i] = (rhs[i] * piv) // den
-        f = z[enter]
-        if f:
-            z = [(zj * piv - f * pj) // den for zj, pj in zip(z, prow)]
-            obj = (obj * piv - f * prhs) // den
+                c = [x * piv // den for x in c]
+            cols[k] = c
+            zs[k] = (zs[k] * piv - zf * pk) // den
+        prhs = rhs[leave]
+        rhs = [(x * piv - f * prhs) // den for x, f in zip(rhs, ecol)]
+        rhs[leave] = prhs
+        obj = (obj * piv - zf * prhs) // den
+
+        # the leaving column becomes -ecol off the pivot row and den on it;
+        # tau maps it to its pair's first member
+        out = basis[leave]
+        zold = 0
+        if out < V or SUR <= out < ART:
+            tau = 1
+        elif out < SUR:
+            tau, out = -1, out - d
         else:
-            z = [(zj * piv) // den for zj in z]
-            obj = (obj * piv) // den
+            r = out - ART
+            tau = 1 if neg[r] else -1  # sur_r = -s_r * art_r
+            zold = -piv if neg[r] else piv  # z(sur_r) was s_r * den; times piv/den
+            out = SUR + r
+        c = [-f for f in ecol] if tau > 0 else list(ecol)
+        c[leave] = tau * den
+        cols[slot] = c
+        zs[slot] = zold - zf * tau
+        pair[slot] = out
         basis[leave] = enter
         den = piv
 
     if obj != 0:
         return None
-    x = [Fraction(0)] * d
+    x = [0] * d
     for i, var in enumerate(basis):
-        if var < d:
-            x[var] += Fraction(rhs[i], den)
-        elif var < 2 * d:
-            x[var - d] -= Fraction(rhs[i], den)
+        if var < V:
+            x[var] += rhs[i]
+        elif var < SUR:
+            x[var - d] -= rhs[i]
     for row, b in cons:
-        if sum(c * xi for c, xi in zip(row, x)) < b:
+        if sum(c * xi for c, xi in zip(row, x)) < b * den:
             raise AssertionError("simplex returned an infeasible point")
-    return x
+    return [Fraction(xi, den) for xi in x]

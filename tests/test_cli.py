@@ -74,6 +74,12 @@ def test_nullcone_components_cap_refusal(capsys):
     assert "best_effort" in err or "best-effort" in err
 
 
+def test_nullcone_components_rejects_nonpositive_n(capsys):
+    code, _, err = run(capsys, "nullcone", "components", "--n", "0")
+    assert code == 2
+    assert "n must be positive" in err
+
+
 def test_invariants_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "invariants", "list", "--n", "3", "--format", "json")
     assert code == 0 and json.loads(out)["outputs"]["count"] == 14

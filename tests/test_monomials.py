@@ -71,6 +71,11 @@ def test_within_W3_empty():
     assert not has_invariant_monomial_within(build_W(3, "W"), 9)
 
 
+def test_within_W12_has_no_recursion_limit():
+    # 1,078 triples: the search depth must not grow with the support size
+    assert has_invariant_monomial_within(build_W(12), 3) is False
+
+
 def test_within_full_cube_degree1():
     full = Support.of(2, list(product((1, 2), repeat=3)))
     assert [m.factors for m in invariant_monomials_within(full, 1)] == [

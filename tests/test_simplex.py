@@ -1,7 +1,19 @@
+import hashlib
 import random
 from fractions import Fraction
 
+from bordersub import build_W, nullcone_feasible
 from bordersub.simplex import feasible_point
+
+# sha256 of the outputs below, one repr per line, as computed by the
+# full-tableau simplex this package used before the dictionary form: the
+# pivot rule must still visit the same vertices and return the same point
+RANDOM_SYSTEMS_DIGEST = "04998ff42fad6ecc60115066969f3c409205633c9d3b679e383522462aa6378e"
+W_CERTIFICATES_DIGEST = "eb34591e3b9f2a0e90f10d07a426347fc4f53eafadacdab55572172158ce032f"
+
+
+def _digest(results):
+    return hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
 
 
 def test_empty_system():
@@ -105,3 +117,27 @@ def test_against_fourier_motzkin_oracle():
             agree_infeasible += 1
     # the sample must actually exercise both outcomes
     assert agree_feasible > 20 and agree_infeasible > 20
+
+
+def test_same_points_as_full_tableau():
+    rng = random.Random(2208)
+    results = []
+    for case in range(500):
+        d = rng.randint(1, 6)
+        m = rng.randint(0, 25)
+        rational = case % 5 == 0
+        cons = []
+        for _ in range(m):
+            if rational:
+                row = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+            else:
+                row = [rng.randint(-3, 3) for _ in range(d)]
+            cons.append((row, rng.randint(-3, 3)))
+        results.append(feasible_point(d, cons))
+    assert sum(x is None for x in results) == 322
+    assert _digest(results) == RANDOM_SYSTEMS_DIGEST
+
+
+def test_same_W_certificates_as_full_tableau():
+    certs = [nullcone_feasible(build_W(n)).certificate for n in range(2, 7)]
+    assert _digest(certs) == W_CERTIFICATES_DIGEST
