@@ -8,7 +8,6 @@ converted back to canonical rational or primitive-integer form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -37,7 +36,7 @@ def rank_rational(rows):
     return rank_int(_int_rows(rows))
 
 
-def _rref_from_pivots(pivots, ncols):
+def _rref_from_pivots(pivots):
     """Canonical reduced echelon form (rational) of the row space."""
     cols = sorted(pivots)
     rows = [[Fraction(x) for x in pivots[c]] for c in cols]
@@ -50,14 +49,6 @@ def _rref_from_pivots(pivots, ncols):
             if f:
                 rows[s] = [a - f * b for a, b in zip(rows[s], rows[r])]
     return cols, rows
-
-
-def rref_rational(rows, ncols):
-    """Reduced row echelon form: (pivot columns, rational rows)."""
-    if not rows:
-        return [], []
-    pivots = echelon_rows(_int_rows(rows))
-    return _rref_from_pivots(pivots, ncols)
 
 
 def primitive_int_vector(vec):
@@ -82,10 +73,8 @@ def kernel_int(rows, ncols):
     """Primitive integer basis of {x : A x = 0}, one vector per free column,
     ordered by free column.  Canonical because it is derived from the RREF.
     """
-    if not rows:
-        rows = []
     pivots = echelon_rows(rows) if rows else {}
-    cols, rref = _rref_from_pivots(pivots, ncols)
+    cols, rref = _rref_from_pivots(pivots)
     pivot_set = set(cols)
     basis = []
     for f in range(ncols):
@@ -97,45 +86,6 @@ def kernel_int(rows, ncols):
             vec[c] = -rref[r][f]
         basis.append(primitive_int_vector(vec))
     return basis
-
-
-def kernel_rational(rows, ncols):
-    return kernel_int(_int_rows(rows), ncols)
-
-
-@dataclass(frozen=True)
-class LinearSubspace:
-    """A subspace of Q^ambient held as its reduced echelon basis."""
-
-    ambient: int
-    pivot_cols: tuple[int, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_vectors(cls, vectors, ambient):
-        vecs = [list(v) for v in vectors if any(v)]
-        if not vecs:
-            return cls(ambient, (), ())
-        cols, rows = rref_rational(vecs, ambient)
-        return cls(ambient, tuple(cols), tuple(tuple(r) for r in rows))
-
-    @property
-    def dim(self):
-        return len(self.pivot_cols)
-
-    def reduce(self, vector):
-        """Residue of vector after subtracting its projection on the basis;
-        zero residue means membership."""
-        v = [Fraction(x) for x in vector]
-        for r, c in enumerate(self.pivot_cols):
-            f = v[c]
-            if f:
-                row = self.basis[r]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vector):
-        return not any(self.reduce(vector))
 
 
 # -- small dense rational matrices (n <= 6 work) ----------------------------

@@ -5,18 +5,26 @@ The derivative action is the Leibniz rule
     (x, y, z) . T = x.T + y.T + z.T     (each factor acting on its slot),
 
 a linear map from the 3n^2-dimensional algebra to the n^3-dimensional
-tensor space once T is fixed.  Everything below is exact linear algebra on
-that map:
+tensor space once T is fixed.  ``_action_map`` builds that map once, as
+coordinate -> {unknown: coefficient}; everything below is exact linear
+algebra on it:
 
 * the stabilizer of T is its kernel; for the unit tensor the kernel is the
   diagonal zero-sum algebra of dimension 2n (2n - 2 after dividing out the
   two-dimensional scalar kernel of the action);
 * the stabilizer of the cone spanned by the unit tensor and the staircase
   space W is the kernel of "act lands inside <unit, W>", a condition made
-  linear by quantifying over the generators {unit} + basis of W;
+  linear by quantifying over the generators {unit} + basis of W.  W holds
+  no diagonal triple, so <unit, W> is the set of tensors v with v_c = 0
+  for every coordinate c outside W + diag and v_(1,1,1) = ... = v_(n,n,n):
+  each generator contributes its image at those coordinates and its image
+  at (i,i,i) minus its image at (1,1,1);
 * tangent-space ranks at a sampled point unit + w, w generic in W, recover
   the dimension count (dim G) - (dim G_cone) + (dim cone) of the orbit of
-  the cone, whose closed form is (2n^3 + 3n^2 - 2n - 3)/3.
+  the cone, whose closed form is (2n^3 + 3n^2 - 2n - 3)/3.  The tangent
+  space is act(gl^3, unit + w) + <unit, W>, and the |W| unit vectors of W
+  are removed with their columns: rank = |W| + rank(rest), where rest is
+  the action rows and the unit row on the coordinates outside W.
 
 Dimensions come in two conventions: the raw gl^3 level and the faithful
 quotient (subtract 2 for the scalar pairs (a, b, -a-b) acting trivially).
@@ -30,8 +38,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
-from .linalg import LinearSubspace, kernel_int, rank_int
-from .tensors import Support, Tensor3, build_W, sample_coefficients, unit_tensor
+from .linalg import kernel_int, rank_int
+from .tensors import Tensor3, build_W, sample_coefficients, unit_tensor
 
 #: dimension of the scalar pairs acting trivially on every tensor
 ACTION_KERNEL_DIM = 2
@@ -88,31 +96,27 @@ class LieTriple:
         return LieTriple(self.n, mul(self.x), mul(self.y), mul(self.z))
 
 
-def act(lt: LieTriple, T: Tensor3) -> Tensor3:
-    """Leibniz action of (x, y, z) on T, exact and linear in both slots."""
-    if lt.n != T.n:
-        raise DimensionMismatchError(f"algebra n={lt.n} vs tensor n={T.n}")
-    n = lt.n
-    out = {}
+def _action_map(T: Tensor3):
+    """The linear map lt -> act(lt, T) as coordinate index -> {unknown:
+    coefficient}; the only place the Leibniz terms are enumerated.
 
-    def bump(key, val):
-        if val:
-            cur = out.get(key, Fraction(0)) + val
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-
+    Coordinate (i, j, k) has index (i-1)n^2 + (j-1)n + (k-1); unknowns are
+    positions in LieTriple.flat(), so entry (p, q) of x, y, z is unknown
+    (p-1)n + (q-1) plus 0, n^2, 2n^2."""
+    n = T.n
+    nn = n * n
+    amap = {}
     for (i, j, k), c in T.entries.items():
-        for p in range(1, n + 1):
-            bump((p, j, k), lt.x[p - 1][i - 1] * c)
-            bump((i, p, k), lt.y[p - 1][j - 1] * c)
-            bump((i, j, p), lt.z[p - 1][k - 1] * c)
-    return Tensor3(n, out)
-
-
-def _unknown_index(n, slot, p, q):
-    return slot * n * n + (p - 1) * n + (q - 1)
+        i, j, k = i - 1, j - 1, k - 1
+        for p in range(n):
+            for coord, unk in (
+                (p * nn + j * n + k, p * n + i),
+                (i * nn + p * n + k, nn + p * n + j),
+                (i * nn + j * n + p, 2 * nn + p * n + k),
+            ):
+                form = amap.setdefault(coord, {})
+                form[unk] = form.get(unk, 0) + c
+    return amap
 
 
 def _coord_index(n, t):
@@ -120,126 +124,87 @@ def _coord_index(n, t):
     return (i - 1) * n * n + (j - 1) * n + (k - 1)
 
 
-def _action_rows(T: Tensor3):
-    """Rows of the linear map (x,y,z) -> act(x,y,z,T), one per coordinate
-    that the action can reach, scaled to integers."""
-    n = T.n
-    rows = {}
-
-    def row_at(coord):
-        r = rows.get(coord)
-        if r is None:
-            r = [Fraction(0)] * (3 * n * n)
-            rows[coord] = r
-        return r
-
-    for (i, j, k), c in T.entries.items():
-        for p in range(1, n + 1):
-            row_at((p, j, k))[_unknown_index(n, 0, p, i)] += c
-            row_at((i, p, k))[_unknown_index(n, 1, p, j)] += c
-            row_at((i, j, p))[_unknown_index(n, 2, p, k)] += c
-    out = []
-    for coord in sorted(rows):
-        row = rows[coord]
+def _int_rows(forms, width):
+    """Dense integer rows of sparse rational forms {column: coefficient},
+    each scaled by the lcm of its denominators."""
+    rows = []
+    for form in forms:
         den = 1
-        for v in row:
+        for v in form.values():
             den = lcm(den, v.denominator)
-        out.append([int(v * den) for v in row])
-    return out
+        row = [0] * width
+        for col, v in form.items():
+            row[col] = int(v * den)
+        rows.append(row)
+    return rows
+
+
+def _coordinate_rows(T: Tensor3):
+    """Rows of lt -> act(lt, T) over the 3n^2 unknowns, one per coordinate
+    that the action can reach, in coordinate order."""
+    amap = _action_map(T)
+    return _int_rows((amap[c] for c in sorted(amap)), 3 * T.n * T.n)
+
+
+def act(lt: LieTriple, T: Tensor3) -> Tensor3:
+    """Leibniz action of (x, y, z) on T, exact and linear in both slots."""
+    if lt.n != T.n:
+        raise DimensionMismatchError(f"algebra n={lt.n} vs tensor n={T.n}")
+    n = lt.n
+    flat = lt.flat()
+    out = {}
+    for coord, form in _action_map(T).items():
+        v = sum(flat[unk] * c for unk, c in form.items())
+        if v:
+            out[(coord // (n * n) + 1, coord // n % n + 1, coord % n + 1)] = v
+    return Tensor3(n, out)
 
 
 def stabilizer_dim(T: Tensor3) -> int:
     """dim of the full gl^3-level stabilizer algebra of T (kernel of the
     action map).  The faithful symmetry algebra has dimension
     stabilizer_dim - 2 whenever T != 0."""
-    return 3 * T.n * T.n - rank_int(_action_rows(T))
+    return 3 * T.n * T.n - rank_int(_coordinate_rows(T))
 
 
 def stabilizer_basis(T: Tensor3) -> list[LieTriple]:
     """Canonical primitive-integer basis of the stabilizer algebra."""
-    vecs = kernel_int(_action_rows(T), 3 * T.n * T.n)
+    vecs = kernel_int(_coordinate_rows(T), 3 * T.n * T.n)
     return [LieTriple.from_flat(T.n, v) for v in vecs]
 
 
 def orbit_dim_unit(n) -> int:
     """Dimension 3n^2 - 2n of the (affine) orbit of the unit tensor, i.e.
     of the set of all maximal subrank tensors."""
-    return rank_int(_action_rows(unit_tensor(n)))
-
-
-def _cone_generators(n):
-    M = unit_tensor(n)
-    W = build_W(n, "W")
-    gens = [M] + [Tensor3(n, {t: Fraction(1)}) for t in W.sorted_triples()]
-    span = LinearSubspace.from_vectors(
-        [_flatten(g) for g in gens],
-        n * n * n,
-    )
-    return M, W, gens, span
-
-
-def _flatten(T: Tensor3):
-    n = T.n
-    vec = [Fraction(0)] * (n * n * n)
-    for t, c in T.entries.items():
-        vec[_coord_index(n, t)] = c
-    return vec
-
-
-def _symbolic_action(n, T: Tensor3):
-    """coordinate -> {unknown: coefficient} for lt -> act(lt, T)."""
-    cols = {}
-    for (i, j, k), c in T.entries.items():
-        for p in range(1, n + 1):
-            for coord, unk in (
-                ((p, j, k), _unknown_index(n, 0, p, i)),
-                ((i, p, k), _unknown_index(n, 1, p, j)),
-                ((i, j, p), _unknown_index(n, 2, p, k)),
-            ):
-                d = cols.setdefault(coord, {})
-                d[unk] = d.get(unk, Fraction(0)) + c
-    return cols
+    return rank_int(_coordinate_rows(unit_tensor(n)))
 
 
 def _cone_condition_rows(n):
     """Integer rows over the 3n^2 unknowns expressing: act(lt, g) lies in
-    the span of {unit tensor} + W-basis, for every generator g.
+    <unit, W> for every generator g (the unit tensor and e_w, w in W).
 
-    Membership is encoded by reducing the symbolic image against the
-    span's reduced echelon basis and equating every non-pivot residue
-    coordinate to zero."""
-    M, W, gens, span = _cone_generators(n)
-    pivot_cols = span.pivot_cols
-    pivot_pos = {c: r for r, c in enumerate(pivot_cols)}
-    nn = n * n * n
-    rows = []
-    for g in gens:
-        sym = _symbolic_action(n, g)
-        sym_by_index = {_coord_index(n, t): d for t, d in sym.items()}
-        for c in range(nn):
-            if c in pivot_pos:
+    For each g, in coordinate order: the image at every coordinate outside
+    W + diag, and the image at (i,i,i) minus the image at (1,1,1) for
+    i >= 2; all-zero rows are dropped."""
+    W = build_W(n, "W")
+    origin = _coord_index(n, (1, 1, 1))
+    rest = {_coord_index(n, (i, i, i)) for i in range(2, n + 1)}
+    free = {_coord_index(n, t) for t in W}
+    free.add(origin)
+    forms = []
+    for g in [unit_tensor(n)] + [Tensor3(n, {t: Fraction(1)}) for t in W.sorted_triples()]:
+        amap = _action_map(g)
+        for c in sorted(amap.keys() | rest):
+            if c in free:
                 continue
-            # residue[c] = v[c] - sum_r basis_r[c] * v[pivot_r]
-            form = dict(sym_by_index.get(c, {}))
-            for r, pc in enumerate(pivot_cols):
-                b = span.basis[r][c]
-                if b:
-                    for unk, coeff in sym_by_index.get(pc, {}).items():
-                        form[unk] = form.get(unk, Fraction(0)) - b * coeff
-            if not form:
-                continue
-            den = 1
-            for v in form.values():
-                den = lcm(den, v.denominator)
-            row = [0] * (3 * n * n)
-            nonzero = False
-            for unk, coeff in form.items():
-                val = int(coeff * den)
-                row[unk] = val
-                nonzero = nonzero or val != 0
-            if nonzero:
-                rows.append(row)
-    return rows
+            form = dict(amap.get(c, {}))
+            if c in rest:
+                for unk, v in amap.get(origin, {}).items():
+                    form[unk] = form.get(unk, 0) - v
+                form = {unk: v for unk, v in form.items() if v}
+            if form:
+                forms.append(form)
+    return _int_rows(forms, 3 * n * n)
 
 
 def cone_stabilizer_dim(n) -> int:
@@ -335,54 +300,34 @@ def orbit_cone_tangent_dim(n, seed) -> TangentReport:
     point unit + w (w on the staircase support W), of the orbit of the
     cone: rank of act(gl^3, unit + w) + <unit, W> minus one.
 
+    The rank is |W| plus the rank of the per-unknown action rows and the
+    unit row with the W coordinates deleted.
+
     Degenerate samples (rank below the closed form) trigger up to two
     reseeds (seed+1, seed+2); all attempts are reported and the maximum is
     returned."""
     expected = qmax_dimension_bound(n)
     M = unit_tensor(n)
     W = build_W(n, "W")
+    in_W = {_coord_index(n, t) for t in W}
+    col = {c: pos for pos, c in enumerate(c for c in range(n**3) if c not in in_W)}
+    unit_form = {col[_coord_index(n, (i, i, i))]: 1 for i in range(1, n + 1)}
     attempts = []
     best = -1
     for s in (seed, seed + 1, seed + 2):
         T = M + Tensor3(n, sample_coefficients(W, s))
-        rows = _tangent_rows(n, T, W)
-        value = rank_int(rows) - 1
+        by_unknown = {}
+        for c, form in _action_map(T).items():
+            if c in col:
+                for unk, v in form.items():
+                    by_unknown.setdefault(unk, {})[col[c]] = v
+        forms = [by_unknown[unk] for unk in sorted(by_unknown)] + [unit_form]
+        value = len(W) + rank_int(_int_rows(forms, len(col))) - 1
         attempts.append((s, value))
         best = max(best, value)
         if best == expected:
             break
     return TangentReport(n=n, value=best, expected=expected, attempts=tuple(attempts))
-
-
-def _tangent_rows(n, T, W: Support):
-    nn = n * n * n
-    rows = []
-    sym = _symbolic_action(n, T)
-    by_unknown = {}
-    for coord, d in sym.items():
-        ci = _coord_index(n, coord)
-        for unk, coeff in d.items():
-            by_unknown.setdefault(unk, []).append((ci, coeff))
-    for unk in range(3 * n * n):
-        entries = by_unknown.get(unk)
-        if not entries:
-            continue
-        den = 1
-        for _, v in entries:
-            den = lcm(den, v.denominator)
-        row = [0] * nn
-        for ci, v in entries:
-            row[ci] = int(v * den)
-        rows.append(row)
-    unit_row = [0] * nn
-    for i in range(1, n + 1):
-        unit_row[_coord_index(n, (i, i, i))] = 1
-    rows.append(unit_row)
-    for t in W.sorted_triples():
-        row = [0] * nn
-        row[_coord_index(n, t)] = 1
-        rows.append(row)
-    return rows
 
 
 def qmax_dimension_bound(n) -> int:

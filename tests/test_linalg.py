@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 from bordersub.linalg import (
-    LinearSubspace,
     kernel_int,
     mat_inverse,
     mat_mul,
@@ -68,20 +67,6 @@ def test_kernel_vectors_annihilate_and_count():
 
 def test_kernel_of_empty_system_is_identity():
     assert kernel_int([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-def test_linear_subspace_membership():
-    span = LinearSubspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3)
-    assert span.dim == 2
-    assert span.contains([2, 3, 5])
-    assert not span.contains([1, 0, 0])
-    assert all(v == 0 for v in span.reduce([1, 1, 2]))
-
-
-def test_linear_subspace_canonical_under_reordering():
-    a = LinearSubspace.from_vectors([[1, 2, 3], [0, 1, 1]], 3)
-    b = LinearSubspace.from_vectors([[0, 1, 1], [1, 3, 4]], 3)
-    assert a.basis == b.basis and a.pivot_cols == b.pivot_cols
 
 
 def test_mat_inverse():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,6 +21,16 @@ from bordersub import (
     tensor_from_support,
     unit_tensor,
 )
+
+# sha256 of the outputs below, one repr per line, as computed when the cone
+# condition was an RREF reduction against <unit, W> and the tangent rows
+# kept the W unit vectors: the canonical kernel basis pins the row space
+CONE_BASIS_DIGEST = "f267a3699832d6f4b90b41e223c504560107f0397e522e9a7697d18ce447bc5e"
+TANGENT_ATTEMPTS_DIGEST = "2870d0e1b2eb9c7c964ae20303cd262fd85a629b2e131d6a579c9b4d2651aefc"
+
+
+def _digest(results):
+    return hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
 
 
 def matrix_unit(n, p, q):
@@ -152,21 +163,20 @@ def test_tangent_reports_attempts():
     assert rep.value == max(v for _, v in rep.attempts)
 
 
-def test_tangent_rank_n2_never_degenerate():
+def test_tangent_rank_n2_never_degenerate(monkeypatch):
     # exhaustive over all 6^3 coefficient assignments on the staircase
     # support: every sample is generic, so the n=2 value is seed-independent
     from itertools import product as iproduct
 
     import bordersub.stabilizer as st
-    from bordersub.linalg import rank_int
 
-    W = build_W(2, "W")
-    triples = W.sorted_triples()
-    ranks = set()
+    triples = build_W(2, "W").sorted_triples()
+    values = set()
     for combo in iproduct((1, 2, 3, -1, -2, -3), repeat=3):
-        T = unit_tensor(2) + Tensor3(2, {t: Fraction(c) for t, c in zip(triples, combo)})
-        ranks.add(rank_int(st._tangent_rows(2, T, W)))
-    assert ranks == {8}
+        coeffs = {t: Fraction(c) for t, c in zip(triples, combo)}
+        monkeypatch.setattr(st, "sample_coefficients", lambda sup, seed: coeffs)
+        values.update(v for _, v in st.orbit_cone_tangent_dim(2, seed=0).attempts)
+    assert values == {7}
 
 
 def test_tangent_retries_on_degenerate_sample(monkeypatch):
@@ -187,6 +197,18 @@ def test_tangent_retries_on_degenerate_sample(monkeypatch):
     assert rep.value == 7 and rep.ok
     assert [v for _, v in rep.attempts] == [6, 7]
     assert [s for s, _ in rep.attempts] == [0, 1]
+
+
+def test_cone_basis_and_tangent_attempts_pinned():
+    assert _digest([cone_stabilizer_structure(n).basis for n in range(2, 7)]) == CONE_BASIS_DIGEST
+    attempts = [orbit_cone_tangent_dim(n, s).attempts for n in range(2, 8) for s in range(3)]
+    assert _digest(attempts) == TANGENT_ATTEMPTS_DIGEST
+
+
+def test_closed_forms_above_n8():
+    for n in (9, 10):
+        assert cone_stabilizer_dim(n) == (3 * n * n + n - 2) // 2
+        assert orbit_cone_tangent_dim(n, 0).value == qmax_dimension_bound(n)
 
 
 def test_bound_values():
