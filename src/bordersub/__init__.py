@@ -7,7 +7,7 @@ All arithmetic is exact over Q (fractions.Fraction); every verdict is a
 checkable certificate or a reproducible dimension count.
 """
 
-from ._backend import backend_name
+from ._kernels_py import backend_name
 from .errors import (
     BordersubError,
     CapExceededError,

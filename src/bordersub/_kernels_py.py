@@ -1,7 +1,4 @@
-"""Pure-Python implementations of the hot kernels.
-
-Three loops dominate the package's runtime and live here (and, compiled, in
-the optional Cython twin ``bordersub._kernels``):
+"""The hot kernels, in plain Python on ints and index triples.
 
 * ``echelon_rows`` -- fraction-free integer row reduction, the engine behind
   every exact rank / kernel computation;
@@ -10,14 +7,15 @@ the optional Cython twin ``bordersub._kernels``):
 * ``balanced_exists`` -- existence search for a balanced multiset of index
   triples (a torus-invariant monomial) inside a support.
 
-Both backends must produce identical results; tests compare them directly.
-Everything here works on plain ints and index triples so the twin can run
-on C scalars where possible.
+``linalg``, ``tight`` and ``monomials`` import them by name.
 """
 
 from math import gcd
 
-BACKEND_NAME = "python"
+
+def backend_name():
+    """The kernels are plain Python; the name is reported by the CLI."""
+    return "python"
 
 
 def _normalize_row(row):
@@ -90,10 +88,15 @@ def tight_search(n, triples, bound):
     and injectivity; the search pins tau_A(1) = tau_B(1) = 0.  Returns the
     full assignment as a flat list [tau_A | tau_B | tau_C] or None.
 
-    Plain backtracking with unit propagation: a triple with two assigned
+    Backtracking with unit propagation: a triple with two assigned
     endpoints forces the third, so branching only happens on genuinely free
-    variables.  Used as the brute-force oracle against the linear-algebra
-    tightness decision; deliberately shares no code with it.
+    variables.  Branching is fail-first (Haralick & Elliott 1980): each node
+    branches on the unassigned constrained variable that sits in the most
+    triples with exactly two unknowns, the lowest index on ties, so a
+    forced collision surfaces before unrelated variables are enumerated.
+    Values are tried in the order 0, 1, -1, 2, -2, ...  Used as the
+    brute-force oracle against the linear-algebra tightness decision;
+    deliberately shares no code with it.
     """
     nv = 3 * n
     cons = [(i - 1, n + j - 1, 2 * n + k - 1) for (i, j, k) in triples]
@@ -102,7 +105,6 @@ def tight_search(n, triples, bound):
     for ci, vs in enumerate(cons):
         for v in vs:
             cons_of[v].append(ci)
-    constrained = [bool(cons_of[v]) for v in range(nv)]
 
     val = [0] * nv
     done = [False] * nv
@@ -147,7 +149,22 @@ def tight_search(n, triples, bound):
                 unknown[ci] += 1
                 ksum[ci] -= val[v]
 
-    branch_order = [v for v in range(nv) if constrained[v]]
+    branch_vars = [v for v in range(nv) if cons_of[v]]
+
+    def pick_branch():
+        """Fail-first: the most triples with two unknowns, lowest index on
+        ties; None once every constrained variable is assigned."""
+        best, best_score = None, -1
+        for v in branch_vars:
+            if done[v]:
+                continue
+            score = 0
+            for ci in cons_of[v]:
+                if unknown[ci] == 2:
+                    score += 1
+            if score > best_score:
+                best, best_score = v, score
+        return best
 
     def fill_free():
         for v in range(nv):
@@ -176,9 +193,8 @@ def tight_search(n, triples, bound):
             if not assign(v, -ksum[ci], queue):
                 undo_to(mark)
                 return False
-        for v in branch_order:
-            if done[v]:
-                continue
+        v = pick_branch()
+        if v is not None:
             for x in _value_sequence(bound):
                 sub = []
                 mark2 = len(trail)

@@ -19,11 +19,10 @@ import argparse
 import json
 import sys
 
-from . import config
-from ._backend import backend_name
+from ._kernels_py import backend_name
 from .errors import BordersubError, CapExceededError, InternalError, InvalidValueError, PreconditionError
 from .monomials import Monomial, generator_family, invariant_monomials_within, is_torus_invariant
-from .nullcone import enumerate_maximal_components, is_maximal_nullcone_support, nullcone_feasible
+from .nullcone import ENUMERATION_CAP, enumerate_maximal_components, is_maximal_nullcone_support, nullcone_feasible
 from .orbit import unit_orbit_member
 from .stabilizer import (
     ACTION_KERNEL_DIM,
@@ -359,7 +358,7 @@ def build_parser():
     nm.set_defaults(func=cmd_nullcone_maximal)
     ncomp = nsub.add_parser("components", parents=[_common()])
     ncomp.add_argument("--n", type=int, required=True)
-    ncomp.add_argument("--best-effort", action="store_true", help=f"search beyond the completeness cap n={config.ENUMERATION_CAP}")
+    ncomp.add_argument("--best-effort", action="store_true", help=f"search beyond the completeness cap n={ENUMERATION_CAP}")
     ncomp.set_defaults(func=cmd_nullcone_components)
 
     inv = sub.add_parser("invariants", help="torus-invariant monomials")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._backend import echelon_rows
+from ._kernels_py import echelon_rows
 
 
 def _int_rows(rows):

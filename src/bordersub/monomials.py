@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from ._backend import balanced_exists
+from ._kernels_py import balanced_exists
 from .errors import InvalidValueError
 from .tensors import Support, Triple
 

@@ -34,11 +34,14 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from . import config
 from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
 from .simplex import feasible_point
 from .tensors import Support
 from .weights import TorusWeight, weight_of
+
+#: component enumeration is complete up to this format; beyond it the tool
+#: refuses unless best-effort mode is requested
+ENUMERATION_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -218,10 +221,10 @@ def enumerate_maximal_components(n, best_effort=False) -> ComponentEnumeration:
     """
     if n < 1:
         raise InvalidValueError("n must be positive")
-    complete = n <= config.ENUMERATION_CAP
+    complete = n <= ENUMERATION_CAP
     if not complete and not best_effort:
         raise CapExceededError(
-            f"complete enumeration is configured up to n={config.ENUMERATION_CAP}; "
+            f"complete enumeration is configured up to n={ENUMERATION_CAP}; "
             "pass best_effort to search anyway"
         )
     universe = [t for t in product(range(1, n + 1), repeat=3) if not (t[0] == t[1] == t[2])]

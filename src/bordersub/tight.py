@@ -15,8 +15,8 @@ all collisions (found deterministically along the moment-curve coefficients
 to the smallest integer multiple.
 
 ``exhaustive_tight_search`` is the brute-force oracle used by the tests:
-plain backtracking over integer assignments in a fixed window, sharing no
-machinery with the decision procedure above.
+fail-first backtracking over integer assignments in a fixed window, sharing
+no machinery with the decision procedure above.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from ._backend import tight_search
+from ._kernels_py import tight_search
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int
 from .tensors import Support

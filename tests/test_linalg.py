@@ -1,6 +1,6 @@
 """Cross-checks of the exact linear algebra against independent
-Fraction-based eliminations written here (sharing no code with the
-backend kernels)."""
+Fraction-based eliminations written here (sharing no code with
+``bordersub._kernels_py``)."""
 
 import random
 from fractions import Fraction

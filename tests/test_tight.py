@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import bordersub._kernels_py as kernels
 from bordersub import (
     DimensionMismatchError,
     Permutation,
@@ -18,6 +19,7 @@ from bordersub import (
     exhaustive_tight_search,
     find_tight_witness,
     sample_coefficients,
+    sample_support,
     tensor_from_support,
     unit_tensor,
 )
@@ -86,6 +88,41 @@ def test_oracle_agreement_all_n2_supports():
     for mask in range(256):
         S = Support.of(2, [t for b, t in enumerate(cube) if mask >> b & 1])
         assert (find_tight_witness(S) is not None) == exhaustive_tight_search(S)
+
+
+def test_oracle_work_pinned_at_window_81(monkeypatch):
+    # the 200 supports of acceptance criterion 9 at the default window
+    # (3n)^2 = 81: the number of candidate values the search draws is
+    # deterministic, so a slower branching rule fails here on any machine
+    drawn = 0
+    values = kernels._value_sequence
+
+    def counting(bound):
+        nonlocal drawn
+        for x in values(bound):
+            drawn += 1
+            yield x
+
+    monkeypatch.setattr(kernels, "_value_sequence", counting)
+    for s in range(200):
+        exhaustive_tight_search(sample_support(3, ("tight", s), 10))
+    assert drawn == 251_467
+
+
+def test_oracle_agreement_n4_supports():
+    tight = 0
+    for s in range(40):
+        S = sample_support(4, ("tight4", s), 12)
+        decided = find_tight_witness(S) is not None
+        assert decided == exhaustive_tight_search(S)  # default window 144
+        tight += decided
+    assert tight == 12
+
+
+def test_oracle_full_cube_n8_not_tight():
+    cube = Support.of(8, list(product(range(1, 9), repeat=3)))
+    assert find_tight_witness(cube) is None
+    assert exhaustive_tight_search(cube) is False
 
 
 def test_permutation_equivariance():
