@@ -14,7 +14,7 @@ its validity is re-checked on every return, not just in tests.
 
 Enumeration of maximal feasible supports runs a depth-first search over
 triples (in lexicographic order, in-branch first) where excluded triples
-contribute "weight <= 0" constraints.  Three facts make it complete and
+contribute "weight <= 0" constraints.  These facts make it complete and
 fast:
 
 * feasibility is downward closed, so a triple that cannot join the current
@@ -25,17 +25,40 @@ fast:
 * a node whose whole remaining candidate pool is contained in an already
   recorded maximal support cannot produce a new one (domination pruning,
   using downward closure again).
+
+Most of the questions the search asks are answered by a certificate
+already in hand; the LP runs only when none decides.  Each answer so
+reused rests on a certificate checked in exact integers:
+
+* carried certificates: a node keeps the verified certificates whose
+  positive supports P satisfy its constraints (ins within P, outs outside
+  P).  "Can c join?" is yes when some P holds c, and "can c stay out?" when
+  some P misses c; a triple held both ways stays undecided with no LP.  A
+  forced triple lands on the side every solution takes, so the list stays
+  valid through propagation; a child inherits the members that agree with
+  its branch, and every feasible LP answer joins the list;
+* Farkas cores: an infeasible LP returns multipliers y >= 0 with
+  y^T A = 0 and y^T b > 0 (checked by the simplex); the rows with y_r > 0
+  name a core (I, O), and every system with ins containing I and outs
+  containing O is infeasible by the same y;
+* orbit closure: feasibility is invariant under relabelling the indices
+  diagonally (S_n) and permuting the three slots (S_3), and a certificate
+  maps along, so a recorded component is recorded with its whole orbit,
+  each image with its transformed certificate, re-checked to be >= 1 on
+  the image and <= 0 off it.  Found components then answer feasibility
+  (ins within M, outs outside M) and prune by domination sooner.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
 
 from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
-from .simplex import feasible_point
+from .simplex import phase_one
 from .tensors import Support
 from .weights import TorusWeight, weight_of
 
@@ -101,16 +124,22 @@ def _certificate_from_point(n, x):
 def _solve_system(n, ins, outs):
     """Exact feasibility of {weight >= 1 on ins, weight <= 0 on outs}.
 
-    Returns (feasible, certificate-or-None); the certificate satisfies both
-    constraint families."""
-    for (i, j, k) in ins:
-        if i == j == k:
-            return False, None
-    constraints = [(_row(n, t), 1) for t in sorted(ins)]
-    constraints += [([-c for c in _row(n, t)], 0) for t in sorted(outs)]
-    x = feasible_point(2 * (n - 1), constraints)
+    Returns (certificate, None) when feasible, the certificate satisfying
+    both constraint families, and (None, (I, O)) when not: I within ins and
+    O within outs are the triples whose rows carry a positive Farkas
+    multiplier, so every system containing them is infeasible too."""
+    for t in ins:
+        if t[0] == t[1] == t[2]:
+            return None, (frozenset([t]), frozenset())
+    ins = sorted(ins)
+    outs = sorted(outs)
+    constraints = [(_row(n, t), 1) for t in ins]
+    constraints += [([-c for c in _row(n, t)], 0) for t in outs]
+    x, y = phase_one(2 * (n - 1), constraints)
     if x is None:
-        return False, None
+        core_in = frozenset(t for t, v in zip(ins, y) if v)
+        core_out = frozenset(t for t, v in zip(outs, y[len(ins):]) if v)
+        return None, (core_in, core_out)
     cert = _certificate_from_point(n, x)
     for t in ins:
         if weight_of(cert, t) < 1:
@@ -118,7 +147,7 @@ def _solve_system(n, ins, outs):
     for t in outs:
         if weight_of(cert, t) > 0:
             raise InternalError(f"certificate violates weight <= 0 at {t}")
-    return True, cert
+    return cert, None
 
 
 def nullcone_feasible(S: Support) -> FeasibilityOutcome:
@@ -127,24 +156,55 @@ def nullcone_feasible(S: Support) -> FeasibilityOutcome:
     Empty supports are trivially feasible (zero cocharacter); any support
     containing a diagonal triple is infeasible since diagonal weights
     vanish identically."""
-    ok, cert = _solve_system(S.n, S.sorted_triples(), ())
-    return FeasibilityOutcome(ok, cert)
+    cert, _ = _solve_system(S.n, S.triples, ())
+    return FeasibilityOutcome(cert is not None, cert)
 
 
 def is_maximal_nullcone_support(S: Support):
-    """(maximal?, extendable triples).  Requires S itself feasible."""
+    """(maximal?, extendable triples).  Requires S itself feasible.
+
+    A triple of positive weight under the base certificate, or under one
+    returned for an earlier extension, extends S with no further LP."""
     base = nullcone_feasible(S)
     if not base.feasible:
         raise PreconditionError("support is not in the nullcone; maximality is undefined")
+    certs = [base.certificate]
     extendable = []
     for t in product(range(1, S.n + 1), repeat=3):
         if t in S:
             continue
-        if _solve_system(S.n, sorted(S.triples | {t}), ())[0]:
+        if any(weight_of(c, t) >= 1 for c in certs):
             extendable.append(t)
+            continue
+        cert, _ = _solve_system(S.n, S.triples | {t}, ())
+        if cert is not None:
+            extendable.append(t)
+            certs.append(cert)
     return len(extendable) == 0, extendable
 
 
+def _symmetric_images(n, triples, cert):
+    """(image support, image certificate) under each diagonal relabelling
+    sigma of [n] combined with each permutation pi of the three slots.
+
+    The image of (t_1, t_2, t_3) puts sigma(t_p) in slot pi(p); the image
+    certificate puts entry i of component p at entry sigma(i) of component
+    pi(p).  Both changes cancel in the weight, and the zero column sums
+    survive, so the image certificate certifies the image support."""
+    comps = (cert.lam, cert.mu, cert.nu)
+    for sigma in permutations(range(n)):
+        for pi in permutations(range(3)):
+            image = []
+            for t in triples:
+                u = [0, 0, 0]
+                for p in range(3):
+                    u[pi[p]] = sigma[t[p] - 1] + 1
+                image.append(tuple(u))
+            moved = [[0] * n for _ in range(3)]
+            for p in range(3):
+                for i in range(n):
+                    moved[pi[p]][sigma[i]] = comps[p][i]
+            yield frozenset(image), TorusWeight(n, *moved)
 @dataclass(frozen=True)
 class ComponentEnumeration:
     n: int
@@ -161,53 +221,89 @@ class ComponentEnumeration:
 
 def _enumerate(n, universe):
     """The maximal feasible supports over universe, as sorted triple tuples."""
-    found = {}
-    cache = {}
+    found = {}  # sorted triples -> (support, verified certificate)
+    in_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in I
+    out_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in O
 
-    def system(i, o):
-        key = (i, o)
-        hit = cache.get(key)
-        if hit is None:
-            hit = _solve_system(n, sorted(i), sorted(o))
-            cache[key] = hit
-        return hit
+    def positive(cert):
+        return frozenset(t for t in universe if weight_of(cert, t) >= 1)
 
-    def dfs(ins, outs, undecided):
-        ok, cert = system(ins, outs)
-        if not ok:
-            return
+    def extend(ins, outs, c, inside):
+        """(P, certificate) for the system with c added to ins (inside) or
+        to outs, or None when it is infeasible.  Assumes (ins, outs) is
+        feasible, so a core that applies must contain c."""
+        if inside:
+            ins = ins | {c}
+        else:
+            outs = outs | {c}
+        for I, O in (in_cores if inside else out_cores)[c]:
+            if I <= ins and O <= outs:
+                return None
+        for hit in found.values():
+            if ins <= hit[0] and hit[0].isdisjoint(outs):
+                return hit
+        cert, core = _solve_system(n, ins, outs)
+        if cert is None:
+            I, O = core
+            for t in I:
+                in_cores[t].append(core)
+            for t in O:
+                out_cores[t].append(core)
+            return None
+        return positive(cert), cert
+
+    def record(ins, cert):
+        for image, moved in _symmetric_images(n, ins, cert):
+            key = tuple(sorted(image))
+            if key in found:
+                continue
+            if positive(moved) != image:
+                raise InternalError(f"moved certificate does not certify the image {key}")
+            found[key] = (image, moved)
+
+    def dfs(ins, outs, undecided, certs):
+        # certs: (positive support, certificate) pairs satisfying (ins, outs);
+        # each forced decision lands on the side all of them already take
         undecided = list(undecided)
-        # propagation to a fixpoint; cert stays valid because each forced
-        # decision lands on the side cert already satisfies
         changed = True
         while changed:
             changed = False
             for c in list(undecided):
-                if weight_of(cert, c) >= 1:
-                    if not system(ins, outs | {c})[0]:
-                        ins = ins | {c}
-                        undecided.remove(c)
-                        changed = True
+                held_in = held_out = False
+                for P, _ in certs:
+                    if c in P:
+                        held_in = True
+                    else:
+                        held_out = True
+                if held_in and held_out:
+                    continue
+                hit = extend(ins, outs, c, held_out)
+                if hit is not None:
+                    certs.append(hit)
+                    continue
+                if held_in:
+                    ins = ins | {c}
                 else:
-                    if not system(ins | {c}, outs)[0]:
-                        outs = outs | {c}
-                        undecided.remove(c)
-                        changed = True
+                    outs = outs | {c}
+                undecided.remove(c)
+                changed = True
         pool = ins | frozenset(undecided)
-        if any(pool <= m for m in found.values()):
+        if any(pool <= M for M, _ in found.values()):
             return
         if not undecided:
+            empty = frozenset()
             for t in universe:
-                if t not in ins and system(ins | {t}, frozenset())[0]:
+                if t not in ins and extend(ins, empty, t, True) is not None:
                     return  # feasible but not maximal
-            found[tuple(sorted(ins))] = ins
+            record(ins, certs[0][1])
             return
         c = undecided[0]
         rest = undecided[1:]
-        dfs(ins | {c}, outs, rest)
-        dfs(ins, outs | {c}, rest)
+        dfs(ins | {c}, outs, rest, [h for h in certs if c in h[0]])
+        dfs(ins, outs | {c}, rest, [h for h in certs if c not in h[0]])
 
-    dfs(frozenset(), frozenset(), tuple(universe))
+    root, _ = _solve_system(n, (), ())
+    dfs(frozenset(), frozenset(), tuple(universe), [(positive(root), root)])
     return list(found)
 
 

@@ -10,9 +10,10 @@ N is diagonalizable iff q(N) = 0 for q the squarefree part char(N)/gcd(char,
 char') of its characteristic polynomial.
 
 Verdicts: member / non_member are proofs; inconclusive is reserved for
-failing to find an invertible slice combination within the retry budget
-(possible even for concise tensors, e.g. the alternating 3 x 3 x 3 tensor,
-whose slices span only singular matrices).
+slices that span only singular matrices, which a deterministic grid of
+combinations establishes after the seeded attempts (possible even for
+concise tensors, e.g. the alternating 3 x 3 x 3 tensor).  A member's slices
+always span an invertible matrix, so members are never inconclusive.
 
 Membership is equivalent to maximal *subrank*.  Tensors of maximal border
 subrank can still be non-members -- degeneration is strictly weaker than
@@ -25,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 
 from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import mat_inverse, mat_mul, rank_rational
@@ -180,16 +182,24 @@ class OrbitVerdict:
 
 
 def _invertible_combo(family: SliceFamily, seed, side):
-    """An invertible linear combination of the slices: the basis slices
-    first, then seeded small nonzero-integer combinations."""
+    """An invertible linear combination of the slices, or (None, None) when
+    the slices span only singular matrices.
+
+    The basis slices come first, then seeded small nonzero-integer
+    combinations, then the grid c_1 = 1, c_2..c_n in {0, ..., n} in
+    lexicographic order.  det(sum c_s S_s) is a form f of degree n; if
+    f is not identically zero then neither is f(1, .), whose degree in each
+    variable is at most n, so by the grid lemma (Alon, Combinatorial
+    Nullstellensatz, 1999) it is nonzero at some point of the grid."""
     n = family.n
     for s in family.slices:
         inv = mat_inverse([list(row) for row in s])
         if inv is not None:
             return s, inv
     rng = random.Random(f"bordersub:unit-orbit:{seed}:{side}")
-    for _ in range(SLICE_COMBO_ATTEMPTS):
-        t = [rng.choice(NONZERO_SMALL) for _ in range(n)]
+    seeded = ([rng.choice(NONZERO_SMALL) for _ in range(n)] for _ in range(SLICE_COMBO_ATTEMPTS))
+    grid = ((1,) + rest for rest in product(range(n + 1), repeat=n - 1))
+    for t in chain(seeded, grid):
         combo = [[sum(Fraction(t[s]) * family.slices[s][i][j] for s in range(n)) for j in range(n)] for i in range(n)]
         inv = mat_inverse(combo)
         if inv is not None:

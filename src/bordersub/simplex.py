@@ -38,6 +38,23 @@ division is exact, since all entries are minors of the original integer
 system, and the pivot row stays unscaled.  Integer input, which every
 caller in this package passes, never touches Fraction until the returned
 point is built; rational rows are first scaled to integers one by one.
+
+An infeasible system ends with a positive phase-1 objective, and the final
+dictionary then holds a Farkas certificate: multipliers y >= 0 with
+y^T A = 0 and y^T b > 0, so sum y_r (a_r . x) = 0 < sum y_r b_r shows that
+no x meets every row.  The phase-1 dual w (w_r = 1 - z(art_r)/den) gives
+y_r = s_r * w_r = z(sur_r)/den, since sur_r's column is -s_r e_r at cost 0.
+Scaled by den, y_r is read off the dictionary:
+
+* z(sur_r) when sur_r's pair is nonbasic (the slot's stored reduced cost);
+* den when art_r is basic (only s_r = +1 is left at the end, since a basic
+  art_r with s_r = -1 always lets sur_r in);
+* 0 when sur_r is basic.
+
+Each y_r is then multiplied by the factor that scaled row r to integers,
+so y refers to the caller's rows.  Both outcomes are re-checked in exact
+integers before they are returned: the point against every row, the
+multipliers for y >= 0, y^T A = 0 and y^T b > 0.
 """
 
 from __future__ import annotations
@@ -47,26 +64,36 @@ from math import lcm
 
 
 def _integer_rows(constraints):
-    """Each row and its rhs scaled by a positive integer to integers."""
-    cons = []
+    """Each row and its rhs scaled by a positive integer to integers, with
+    the scale factors."""
+    cons, scales = [], []
     for row, b in constraints:
         if type(b) is int and all(type(c) is int for c in row):
             cons.append((row, b))
+            scales.append(1)
             continue
         row = [Fraction(c) for c in row]
         b = Fraction(b)
         den = lcm(b.denominator, *(c.denominator for c in row))
         cons.append(([int(c * den) for c in row], int(b * den)))
-    return cons
+        scales.append(den)
+    return cons, scales
 
 
 def feasible_point(num_vars, constraints):
     """One rational solution of {coeffs . x >= rhs}, or None when
     infeasible.  Constraint entries may be ints or rationals."""
+    return phase_one(num_vars, constraints)[0]
+
+
+def phase_one(num_vars, constraints):
+    """(point, None) with a rational solution of {coeffs . x >= rhs}, or
+    (None, y) with integer Farkas multipliers, one per constraint: y >= 0,
+    sum y_r coeffs_r = 0 and sum y_r rhs_r > 0."""
     d = num_vars
-    cons = _integer_rows(constraints)
+    cons, scales = _integer_rows(constraints)
     if not cons:
-        return [Fraction(0)] * d
+        return [Fraction(0)] * d, None
     m = len(cons)
     # virtual column indices: u_j = j, v_j = d + j, sur_r = 2d + r,
     # art_r = 2d + m + r; a pair is named by its first member (u_j, sur_r)
@@ -177,7 +204,21 @@ def feasible_point(num_vars, constraints):
         den = piv
 
     if obj != 0:
-        return None
+        y = [0] * m
+        for k in range(d):
+            if pair[k] >= SUR:
+                y[pair[k] - SUR] = zs[k]
+        for var in basis:
+            if var >= ART:
+                y[var - ART] = -den if neg[var - ART] else den
+        if any(v < 0 for v in y):
+            raise AssertionError("simplex returned negative Farkas multipliers")
+        for j in range(d):
+            if sum(v * row[j] for v, (row, _) in zip(y, cons) if v):
+                raise AssertionError("Farkas multipliers do not cancel the rows")
+        if sum(v * b for v, (_, b) in zip(y, cons)) <= 0:
+            raise AssertionError("Farkas multipliers give no contradiction")
+        return None, [v * f for v, f in zip(y, scales)]
     x = [0] * d
     for i, var in enumerate(basis):
         if var < V:
@@ -187,4 +228,4 @@ def feasible_point(num_vars, constraints):
     for row, b in cons:
         if sum(c * xi for c, xi in zip(row, x)) < b * den:
             raise AssertionError("simplex returned an infeasible point")
-    return [Fraction(xi, den) for xi in x]
+    return [Fraction(xi, den) for xi in x], None

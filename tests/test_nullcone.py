@@ -1,8 +1,12 @@
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bordersub.nullcone as nullcone
 
 from bordersub import (
     CapExceededError,
@@ -162,12 +166,87 @@ def test_enumeration_n2_closed_under_permutations():
             assert tuple(apply_permutation(sigma, s).sorted_triples()) in comps
 
 
+def _slot_permuted(pi, triples):
+    """Triple (t_1, t_2, t_3) with t_p moved to slot pi[p]."""
+    out = []
+    for t in triples:
+        u = [0, 0, 0]
+        for p in range(3):
+            u[pi[p]] = t[p]
+        out.append(tuple(u))
+    return out
+
+
 def test_enumeration_n3_closed_under_permutations(components_n3):
+    # the full group: 6 diagonal relabellings times 6 slot permutations
     comps = {tuple(s.sorted_triples()) for s in components_n3.components}
     for s in components_n3.components:
         for sigma in Permutation.all(3):
-            assert tuple(apply_permutation(sigma, s).sorted_triples()) in comps
+            relabelled = apply_permutation(sigma, s).sorted_triples()
+            for pi in permutations(range(3)):
+                assert tuple(sorted(_slot_permuted(pi, relabelled))) in comps
 
 
 def test_enumeration_n3_components_all_feasible(components_n3):
     assert all(nullcone_feasible(s).feasible for s in components_n3.components)
+
+
+CUBE3 = [t for t in product((1, 2, 3), repeat=3) if not t[0] == t[1] == t[2]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(CUBE3), max_size=12, unique=True),
+    st.permutations((1, 2, 3)),
+    st.permutations((0, 1, 2)),
+)
+def test_feasibility_and_certificates_move_with_the_symmetry_group(triples, images, pi):
+    S = Support.of(3, triples)
+    sigma = Permutation(3, tuple(images))
+    moved = Support.of(3, _slot_permuted(pi, apply_permutation(sigma, S).sorted_triples()))
+    out = nullcone_feasible(S)
+    assert nullcone_feasible(moved).feasible == out.feasible
+    if out.feasible:
+        # the enumeration's orbit closure carries certificates the same way
+        image = {tuple(sorted(img)): cert for img, cert in nullcone._symmetric_images(3, S.triples, out.certificate)}
+        cert = image[tuple(moved.sorted_triples())]
+        assert all(weight_of(cert, t) >= 1 for t in moved)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(CUBE3), max_size=12, unique=True), st.randoms(use_true_random=False))
+def test_farkas_core_is_infeasible_and_inside_the_system(triples, rng):
+    ins = set(triples[: len(triples) // 2 + 1])
+    outs = set(triples) - ins
+    cert, core = nullcone._solve_system(3, ins, outs)
+    assert (cert is None) != (core is None)
+    if core is not None:
+        core_in, core_out = core
+        assert core_in <= ins and core_out <= outs
+        assert nullcone._solve_system(3, core_in, core_out)[0] is None
+        # any system containing the core is infeasible
+        extra = rng.sample(CUBE3, 3)
+        assert nullcone._solve_system(3, core_in | {extra[0]}, core_out | {extra[1], extra[2]})[0] is None
+
+
+def test_lp_work_pinned(monkeypatch):
+    # certificate reuse answers most questions without an LP; solving each
+    # one took 7,544 phase-1 solves for the n = 3 enumeration, and
+    # [12, 12, 12, 12, 13, 6, 25] for these maximality checks
+    calls = [0]
+    real = nullcone.phase_one
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(nullcone, "phase_one", counted)
+    enum = enumerate_maximal_components(3)
+    assert len(enum.components) == 126
+    assert calls[0] == 711
+    counts = []
+    for S in named_supports() + [Support.of(2, [(2, 1, 1)]), Support.of(3, [])]:
+        calls[0] = 0
+        is_maximal_nullcone_support(S)
+        counts.append(calls[0])
+    assert counts == [12, 12, 12, 12, 13, 4, 9]

@@ -139,6 +139,32 @@ def test_non_concise_is_non_member():
 def test_levi_civita_inconclusive():
     v = unit_orbit_member(LEVI_CIVITA, seed=0)
     assert v.verdict == "inconclusive"
+    assert v.reason == "no invertible slice combination found within the retry budget"
+
+
+# (g1, g2, g3) with entries in -2..2 whose product with the unit tensor has
+# no invertible basis slice, and whose five seeded slice combinations (at
+# the given seed) are all singular too; the combination grid finds one
+SINGULAR_SLICE_MEMBERS = (
+    (
+        15,
+        ([[-2, 2, -2], [1, 1, 0], [2, -2, 0]], [[-2, 0, 2], [-2, 1, 0], [0, -1, -2]], [[0, 2, -1], [-2, -2, 2], [2, 2, 2]]),
+    ),
+    (
+        36,
+        (
+            [[0, 0, 2, -1, -2], [2, -1, -2, 0, -1], [-2, 1, 1, 2, 0], [0, 1, -2, 2, 0], [0, 0, 0, 1, 0]],
+            [[-2, 2, -2, -2, 2], [0, 2, -2, -2, 2], [2, 2, -2, 0, 2], [2, 1, 0, -2, -1], [-2, -2, -2, -1, -1]],
+            [[0, 1, -1, 2, -1], [0, -2, 2, -2, 2], [1, 2, 0, 0, 1], [-1, -2, -2, 0, 1], [0, 2, -2, -1, 0]],
+        ),
+    ),
+)
+
+
+def test_members_with_singular_slices_and_seeded_combinations():
+    for seed, gs in SINGULAR_SLICE_MEMBERS:
+        T = apply_gl(gs, unit_tensor(len(gs[0])))
+        assert unit_orbit_member(T, seed=seed).verdict == "member"
 
 
 def test_apply_gl_identity_and_scaling():

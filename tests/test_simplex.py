@@ -2,8 +2,11 @@ import hashlib
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bordersub import build_W, nullcone_feasible
-from bordersub.simplex import feasible_point
+from bordersub.simplex import feasible_point, phase_one
 
 # sha256 of the outputs below, one repr per line, as computed by the
 # full-tableau simplex this package used before the dictionary form: the
@@ -141,3 +144,43 @@ def test_same_points_as_full_tableau():
 def test_same_W_certificates_as_full_tableau():
     certs = [nullcone_feasible(build_W(n)).certificate for n in range(2, 7)]
     assert _digest(certs) == W_CERTIFICATES_DIGEST
+
+
+def _coefficient(rational):
+    if rational:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def systems(draw):
+    d = draw(st.integers(min_value=0, max_value=6))
+    rational = draw(st.booleans())
+    row = st.lists(_coefficient(rational), min_size=d, max_size=d)
+    cons = draw(st.lists(st.tuples(row, _coefficient(rational)), max_size=25))
+    return d, cons
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_phase_one_returns_a_point_or_farkas_multipliers(system):
+    d, cons = system
+    x, y = phase_one(d, cons)
+    assert (x is None) != (y is None)
+    if x is not None:
+        assert len(x) == d
+        for row, b in cons:
+            assert sum(c * xi for c, xi in zip(row, x)) >= b
+    else:
+        # y >= 0, y^T A = 0 and y^T b > 0: no x can meet every row
+        assert len(y) == len(cons) and all(type(v) is int and v >= 0 for v in y)
+        for j in range(d):
+            assert sum(v * row[j] for v, (row, _) in zip(y, cons)) == 0
+        assert sum(v * b for v, (_, b) in zip(y, cons)) > 0
+    assert feasible_point(d, cons) == x
+
+
+def test_farkas_multipliers_on_planted_contradiction():
+    # x0 - x1 >= 1, x1 >= 0, -x0 >= 0: the sum of all three rows reads 0 >= 1
+    x, y = phase_one(2, [([1, -1], 1), ([0, 1], 0), ([-1, 0], 0)])
+    assert x is None and y == [y[0]] * 3 and y[0] > 0
