@@ -88,21 +88,7 @@ def kernel_int(rows, ncols):
     return basis
 
 
-# -- small dense rational matrices (n <= 6 work) ----------------------------
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            f = a[i][t]
-            if f:
-                row = b[t]
-                oi = out[i]
-                for j in range(m):
-                    oi[j] += f * row[j]
-    return out
+# -- small dense rational matrices ----------------------------------------
 
 
 def mat_inverse(a):

@@ -2,12 +2,26 @@
 
 A concise tensor lies in the orbit iff it decomposes as sum of u_s (x) v_s
 (x) w_s with three bases, which slice algebra detects: pick an invertible
-combination X0 of the first-slot slices S_i; the family N_i = S_i X0^{-1}
+combination X of the first-slot slices S_i; the family N_i = S_i X^{-1}
 then consists of commuting matrices, each diagonalizable over C, exactly
 when such a decomposition exists (conciseness makes the recovered first
 factors a basis).  Diagonalizability over C is decided without leaving Q:
 N is diagonalizable iff q(N) = 0 for q the squarefree part char(N)/gcd(char,
 char') of its characteristic polynomial.
+
+All matrix arithmetic is fraction-free, on Python ints.  The slices are
+scaled by the lcm of their denominators (a common scale leaves N_i
+unchanged), candidates X are tested by Bareiss determinants, and the test
+runs on M_i = S_i adj(X) = det(X) N_i: a common nonzero scalar changes
+neither commuting nor diagonalizability, so the same pair or slice fails
+first.  Faddeev-LeVerrier gives integer characteristic polynomials.
+
+Only the first-slot slices are tested; a second-slot pass could not change
+the verdict.  If the first-slot test passes, T_ijk = sum_s U_is V_js W_ks
+with U, V, W invertible, so the second-slot slices are S'_j = U D_j W^T with
+D_j = diag(V_j1, ..., V_jn).  An invertible combination is Y = U D W^T with
+D = sum_j c_j D_j invertible, and the S'_j Y^{-1} = U D_j D^{-1} U^{-1}
+commute and are diagonalizable; the grid below finds such a Y.
 
 Verdicts: member / non_member are proofs; inconclusive is reserved for
 slices that span only singular matrices, which a deterministic grid of
@@ -26,10 +40,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
+from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatchError, InvalidValueError
-from .linalg import mat_inverse, mat_mul, rank_rational
+from .linalg import mat_inverse, rank_int
 from .tensors import NONZERO_SMALL, Tensor3
 
 #: seeded random slice combinations tried after the basis slices
@@ -50,57 +66,79 @@ class SliceFamily:
             raise InvalidValueError("need n slices of size n x n")
 
 
-def slices_along_a(T: Tensor3) -> SliceFamily:
-    """S_i[j][k] = T_{ijk}."""
+def _slices(T: Tensor3, slot) -> SliceFamily:
+    """The n matrices of T with the index in `slot` fixed, indexed by the
+    other two indices in order."""
     n = T.n
     mats = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), c in T.entries.items():
-        mats[i - 1][j - 1][k - 1] = c
+    for idx, c in T.entries.items():
+        j, k = (v - 1 for s, v in enumerate(idx) if s != slot)
+        mats[idx[slot] - 1][j][k] = c
     return SliceFamily(n, tuple(tuple(tuple(row) for row in m) for m in mats))
+
+
+def slices_along_a(T: Tensor3) -> SliceFamily:
+    """S_i[j][k] = T_{ijk}."""
+    return _slices(T, 0)
 
 
 def slices_along_b(T: Tensor3) -> SliceFamily:
     """S_j[i][k] = T_{ijk}."""
-    n = T.n
-    mats = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k), c in T.entries.items():
-        mats[j - 1][i - 1][k - 1] = c
-    return SliceFamily(n, tuple(tuple(tuple(row) for row in m) for m in mats))
+    return _slices(T, 1)
 
 
-def _flattening_rows(T, slot):
-    n = T.n
-    rows = [[Fraction(0)] * (n * n) for _ in range(n)]
-    for (i, j, k), c in T.entries.items():
-        idx = (i, j, k)
-        a = idx[slot] - 1
-        rest = [v - 1 for s, v in enumerate(idx) if s != slot]
-        rows[a][rest[0] * n + rest[1]] = c
-    return rows
+def _scaled(family: SliceFamily):
+    """The slices times the lcm of all their denominators, as int matrices."""
+    den = lcm(1, *(x.denominator for s in family.slices for row in s for x in row))
+    return [[[x.numerator * (den // x.denominator) for x in row] for row in s] for s in family.slices]
 
 
 def is_concise(T: Tensor3) -> bool:
     """All three flattenings to n x n^2 matrices have full rank n."""
-    return all(rank_rational(_flattening_rows(T, slot)) == T.n for slot in range(3))
+    return all(rank_int([sum(s, []) for s in _scaled(_slices(T, slot))]) == T.n for slot in range(3))
+
+
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _bareiss(m, adjugate=False):
+    """Fraction-free (Bareiss) elimination of a square integer matrix, every
+    division exact: det(m), or with adjugate=True adj(m) = det(m) m^{-1} of
+    an invertible m by Gauss-Jordan elimination of [m | I], which ends as
+    [+-det(m) I | +-adj(m)] with the sign of the row permutation."""
+    n = len(m)
+    a = [list(row) + ([int(i == j) for j in range(n)] if adjugate else []) for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        ak, piv = a[k], a[k][k]
+        for i in range(n) if adjugate else range(k + 1, n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], ak)]
+        prev = piv
+    return [[sign * x for x in row[n:]] for row in a] if adjugate else sign * prev
 
 
 def _char_poly(mat):
-    """Characteristic polynomial det(x I - N) by the Faddeev-LeVerrier
-    recurrence; exact over Q.  Returned as coefficient list, leading 1
-    first."""
+    """Characteristic polynomial det(x I - M) of an integer matrix by the
+    Faddeev-LeVerrier recurrence, leading 1 first; its coefficients are
+    integers, so each division by k is exact."""
     n = len(mat)
-    coeffs = [Fraction(1)]
-    Mk = None
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    AM = mat  # A M_1 with M_1 = I
     for k in range(1, n + 1):
-        if Mk is None:
-            Mk = [row[:] for row in ident]
-        else:
-            AM = mat_mul(mat, Mk)
-            Mk = [[AM[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)] for i in range(n)]
-        AM = mat_mul(mat, Mk)
-        ck = -sum(AM[i][i] for i in range(n)) / k
-        coeffs.append(ck)
+        if k > 1:
+            c = coeffs[-1]
+            AM = _mul(mat, [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)])
+        coeffs.append(-sum(AM[i][i] for i in range(n)) // k)
     return coeffs
 
 
@@ -110,14 +148,14 @@ def _poly_deriv(p):
 
 
 def _poly_divmod(a, b):
-    """Long division of leading-first coefficient lists; b[0] must be
+    """Long division of leading-first coefficient lists over Q; b[0] must be
     nonzero.  Returns (quotient, remainder-with-padding)."""
     a = list(a)
     if len(a) < len(b):
         return [], a
     out = []
     for shift in range(len(a) - len(b) + 1):
-        f = a[shift] / b[0]
+        f = Fraction(a[shift]) / b[0]
         out.append(f)
         if f:
             for i in range(len(b)):
@@ -126,43 +164,33 @@ def _poly_divmod(a, b):
 
 
 def _poly_gcd(a, b):
-    a = [c for c in a]
-    b = [c for c in b]
-    while b and any(b):
-        while b and b[0] == 0:
-            b.pop(0)
-        if not b:
-            break
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    lead = next((c for c in a if c), None)
-    if lead is None:
-        return [Fraction(1)]
-    i = next(i for i, c in enumerate(a) if c)
-    return [c / lead for c in a[i:]]
+    """Monic gcd over Q of leading-first coefficient lists; a[0] nonzero."""
+    while any(b):
+        b = b[next(i for i, c in enumerate(b) if c):]
+        a, b = b, _poly_divmod(a, b)[1]
+    return [Fraction(c) / a[0] for c in a]
 
 
 def _is_diagonalizable(mat):
-    """q(N) = 0 for q the squarefree part of the characteristic polynomial;
-    equivalent to the minimal polynomial having no repeated roots."""
+    """q(M) = 0 for q the squarefree part of the characteristic polynomial
+    of the integer matrix M; equivalent to the minimal polynomial having no
+    repeated roots.  q(M) is evaluated by integer Horner steps on q scaled by
+    its common denominator."""
     p = _char_poly(mat)
     g = _poly_gcd(p, _poly_deriv(p))
+    if len(g) == 1:
+        return True  # q = p, and p(M) = 0 by Cayley-Hamilton
     q, rem = _poly_divmod(p, g)
     if any(rem):
         raise AssertionError("char poly not divisible by gcd(p, p')")
+    den = lcm(*(c.denominator for c in q))
     n = len(mat)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in q:
-        acc = mat_mul(acc, mat)
+    acc = [[0] * n for _ in range(n)]
+    for c in (int(c * den) for c in q):
+        acc = _mul(acc, mat)
         for i in range(n):
             acc[i][i] += c
-    return all(not v for row in acc for v in row)
-
-
-def _commute(a, b):
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return all(ab[i][j] == ba[i][j] for i in range(len(a)) for j in range(len(a)))
+    return not any(any(row) for row in acc)
 
 
 @dataclass(frozen=True)
@@ -181,9 +209,9 @@ class OrbitVerdict:
         return out
 
 
-def _invertible_combo(family: SliceFamily, seed, side):
-    """An invertible linear combination of the slices, or (None, None) when
-    the slices span only singular matrices.
+def _invertible_combo(slices, seed, side):
+    """The first linear combination of the integer slices with a nonzero
+    determinant, or None when the slices span only singular matrices.
 
     The basis slices come first, then seeded small nonzero-integer
     combinations, then the grid c_1 = 1, c_2..c_n in {0, ..., n} in
@@ -191,46 +219,35 @@ def _invertible_combo(family: SliceFamily, seed, side):
     f is not identically zero then neither is f(1, .), whose degree in each
     variable is at most n, so by the grid lemma (Alon, Combinatorial
     Nullstellensatz, 1999) it is nonzero at some point of the grid."""
-    n = family.n
-    for s in family.slices:
-        inv = mat_inverse([list(row) for row in s])
-        if inv is not None:
-            return s, inv
+    n = len(slices)
+    for s in slices:
+        if _bareiss(s):
+            return s
     rng = random.Random(f"bordersub:unit-orbit:{seed}:{side}")
     seeded = ([rng.choice(NONZERO_SMALL) for _ in range(n)] for _ in range(SLICE_COMBO_ATTEMPTS))
     grid = ((1,) + rest for rest in product(range(n + 1), repeat=n - 1))
+    entries = [[[s[i][j] for s in slices] for j in range(n)] for i in range(n)]
     for t in chain(seeded, grid):
-        combo = [[sum(Fraction(t[s]) * family.slices[s][i][j] for s in range(n)) for j in range(n)] for i in range(n)]
-        inv = mat_inverse(combo)
-        if inv is not None:
-            return combo, inv
-    return None, None
+        combo = [[sum(map(mul, t, e)) for e in row] for row in entries]
+        if _bareiss(combo):
+            return combo
+    return None
 
 
 def _side_verdict(family: SliceFamily, seed, side):
-    _, inv = _invertible_combo(family, seed, side)
-    if inv is None:
-        return OrbitVerdict(
-            "inconclusive",
-            reason="no invertible slice combination found within the retry budget",
-            side=side,
-        )
-    mats = [mat_mul([list(map(Fraction, row)) for row in s], inv) for s in family.slices]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not _commute(mats[i], mats[j]):
-                return OrbitVerdict(
-                    "non_member",
-                    reason=f"slices {i + 1} and {j + 1} do not commute after normalization",
-                    side=side,
-                )
+    slices = _scaled(family)
+    combo = _invertible_combo(slices, seed, side)
+    if combo is None:
+        return OrbitVerdict("inconclusive", "no invertible slice combination found within the retry budget", side)
+    adj = _bareiss(combo, adjugate=True)
+    mats = [_mul(s, adj) for s in slices]  # det(combo) times the normalized slices
+    for i, j in combinations(range(len(mats)), 2):
+        if _mul(mats[i], mats[j]) != _mul(mats[j], mats[i]):
+            return OrbitVerdict("non_member", f"slices {i + 1} and {j + 1} do not commute after normalization", side)
     for i, m in enumerate(mats):
         if not _is_diagonalizable(m):
-            return OrbitVerdict(
-                "non_member",
-                reason=f"normalized slice {i + 1} is not diagonalizable (repeated minimal-polynomial root)",
-                side=side,
-            )
+            reason = f"normalized slice {i + 1} is not diagonalizable (repeated minimal-polynomial root)"
+            return OrbitVerdict("non_member", reason, side)
     return OrbitVerdict("member", side=side)
 
 
@@ -238,15 +255,12 @@ def unit_orbit_member(T: Tensor3, seed) -> OrbitVerdict:
     """Decide T in GL x GL x GL . (unit tensor), exactly.
 
     Order of business: conciseness (necessary), then the slice test on the
-    first-slot family and, defensively, on the second-slot family; member
-    requires both to pass."""
+    first-slot family; the module docstring shows why the second-slot family
+    would always agree."""
     if not is_concise(T):
         return OrbitVerdict("non_member", reason="not concise: some flattening has rank < n")
-    for side, family in (("A", slices_along_a(T)), ("B", slices_along_b(T))):
-        v = _side_verdict(family, seed, side)
-        if v.verdict != "member":
-            return v
-    return OrbitVerdict("member")
+    v = _side_verdict(slices_along_a(T), seed, "A")
+    return OrbitVerdict("member") if v.verdict == "member" else v
 
 
 def random_invertible(n, rng):

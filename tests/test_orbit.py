@@ -1,5 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bordersub import (
     Tensor3,
@@ -8,25 +13,42 @@ from bordersub import (
     check_degeneration_certificate,
     is_concise,
     nullcone_feasible,
+    sample_support,
     slices_along_a,
     slices_along_b,
     unit_orbit_member,
     unit_tensor,
 )
+from bordersub import orbit
+from bordersub.linalg import mat_inverse
 from bordersub.orbit import gl_invariance_probe, random_invertible
+from bordersub.tensors import NONZERO_SMALL
 
 W_STATE = Tensor3(2, {(1, 1, 2): Fraction(1), (1, 2, 1): Fraction(1), (2, 1, 1): Fraction(1)})
-LEVI_CIVITA = Tensor3(
-    3,
-    {
-        (1, 2, 3): Fraction(1),
-        (2, 3, 1): Fraction(1),
-        (3, 1, 2): Fraction(1),
-        (1, 3, 2): Fraction(-1),
-        (3, 2, 1): Fraction(-1),
-        (2, 1, 3): Fraction(-1),
-    },
-)
+
+
+def alternating(n, terms):
+    """The alternating tensor of the 3-form sum of e_a ^ e_b ^ e_c over the
+    index triples (a, b, c) in terms."""
+    entries = {}
+    for term in terms:
+        for perm in permutations(range(3)):
+            inversions = sum(perm[x] > perm[y] for x in range(3) for y in range(x + 1, 3))
+            entries[tuple(term[p] for p in perm)] = Fraction((-1) ** inversions)
+    return Tensor3(n, entries)
+
+
+LEVI_CIVITA = alternating(3, [(1, 2, 3)])
+# e123 + e145 + e245 + e345: concise, and every slice combination is singular
+ALTERNATING_5 = alternating(5, [(1, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5)])
+
+
+def w_state_plus_unit(n):
+    """W-state on {1, 2} plus the unit tensor on the rest: concise, not in
+    the orbit of the unit tensor."""
+    entries = dict(W_STATE.entries)
+    entries.update({(i, i, i): Fraction(1) for i in range(3, n + 1)})
+    return Tensor3(n, entries)
 
 
 def laplace_char_poly(mat):
@@ -74,24 +96,35 @@ def laplace_char_poly(mat):
 
 
 def test_char_poly_against_laplace_expansion():
-    from bordersub.orbit import _char_poly
-
     rng = random.Random(73)
     for _ in range(40):
         n = rng.randint(1, 4)
-        mat = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        assert _char_poly(mat) == laplace_char_poly(mat)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert orbit._char_poly(mat) == laplace_char_poly(mat)
+
+
+def test_bareiss_determinant_and_adjugate():
+    # det(M) = (-1)^n char(M)(0), and adj(M) = det(M) M^{-1}
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        mat = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        det = orbit._bareiss(mat)
+        assert det == (-1) ** n * laplace_char_poly(mat)[-1]
+        inv = mat_inverse(mat)
+        assert (inv is None) == (det == 0)
+        if det:
+            assert orbit._bareiss(mat, adjugate=True) == [[det * x for x in row] for row in inv]
 
 
 def test_diagonalizability_decisions():
-    from bordersub.orbit import _is_diagonalizable
-
-    one = Fraction(1)
-    zero = Fraction(0)
-    assert _is_diagonalizable([[one, zero], [zero, one]])  # repeated eigenvalue, still diagonal
-    assert not _is_diagonalizable([[one, one], [zero, one]])  # Jordan block
-    assert not _is_diagonalizable([[zero, one], [zero, zero]])  # nilpotent
-    assert _is_diagonalizable([[zero, one], [-one, zero]])  # complex eigenvalues, squarefree
+    is_diagonalizable = orbit._is_diagonalizable
+    assert is_diagonalizable([[1, 0], [0, 1]])  # repeated eigenvalue, still diagonal
+    assert not is_diagonalizable([[1, 1], [0, 1]])  # Jordan block
+    assert not is_diagonalizable([[0, 1], [0, 0]])  # nilpotent
+    assert is_diagonalizable([[0, 1], [-1, 0]])  # complex eigenvalues, squarefree
+    assert is_diagonalizable([[2, 0, 0], [0, 2, 0], [0, 0, 5]])  # repeated root, squarefree minimal polynomial
+    assert not is_diagonalizable([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
 
 
 def test_conciseness():
@@ -165,6 +198,90 @@ def test_members_with_singular_slices_and_seeded_combinations():
     for seed, gs in SINGULAR_SLICE_MEMBERS:
         T = apply_gl(gs, unit_tensor(len(gs[0])))
         assert unit_orbit_member(T, seed=seed).verdict == "member"
+
+
+def orbit_corpus():
+    """318 (tensor, seed) pairs: g . unit and g . (W-state + unit) at
+    n = 2..5 with g entries in -2..2, the singular-slice members, rational
+    base changes, random rational tensors (many not concise), unit tensors
+    with a diagonal entry missing, and two alternating tensors."""
+    cases = []
+    for n in range(2, 6):
+        unit, w_unit = unit_tensor(n), w_state_plus_unit(n)
+        for k in range(30):
+            rng = random.Random(f"orbit-pin:{n}:{k}")
+            gs = [random_invertible(n, rng) for _ in range(3)]
+            cases += [(apply_gl(gs, unit), k), (apply_gl(gs, w_unit), k)]
+    for seed, gs in SINGULAR_SLICE_MEMBERS:
+        cases.append((apply_gl(gs, unit_tensor(len(gs[0]))), seed))
+    for k in range(30):
+        rng = random.Random(f"orbit-pin:rational:{k}")
+        n = 2 + k % 3
+        gs = [[[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+        cases.append((apply_gl(gs, unit_tensor(n) if k % 2 else w_state_plus_unit(n)), k))
+    for k in range(40):
+        rng = random.Random(f"orbit-pin:support:{k}")
+        n = 2 + k % 3
+        sup = sample_support(n, ("orbit-pin", k), n**3)
+        coeffs = {t: Fraction(rng.choice(NONZERO_SMALL), rng.randint(1, 3)) for t in sup.sorted_triples()}
+        cases.append((Tensor3(n, coeffs), k))
+    for n in range(2, 6):
+        cases.append((Tensor3(n, {(i, i, i): Fraction(1) for i in range(1, n)}), 0))
+    cases += [(LEVI_CIVITA, 0), (ALTERNATING_5, 0)]
+    return cases
+
+
+def test_unit_orbit_verdicts_pinned():
+    # sha256 of the verdict reprs computed with the Fraction slice algebra
+    # (both slot families tested, one Fraction inverse per combination)
+    cases = orbit_corpus()
+    reprs = [repr(unit_orbit_member(T, seed)) for T, seed in cases]
+    assert len(reprs) == 318
+    assert sum(r.startswith("OrbitVerdict(verdict='member'") for r in reprs) == 142
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == "8775cd650d160d87fc83305f72a4dbbccc8189fcaa7b266d2370d06e0340c42f"
+
+
+def test_alternating_5_walks_the_whole_grid(monkeypatch):
+    # every combination is singular: 5 basis slices, 5 seeded combinations
+    # and the 6^4 grid points are each tested by one determinant
+    tested = [0]
+    real = orbit._bareiss
+
+    def counted(m, adjugate=False):
+        tested[0] += not adjugate
+        return real(m, adjugate)
+
+    monkeypatch.setattr(orbit, "_bareiss", counted)
+    assert is_concise(ALTERNATING_5)
+    v = unit_orbit_member(ALTERNATING_5, seed=0)
+    assert v.verdict == "inconclusive"
+    assert v.reason == "no invertible slice combination found within the retry budget"
+    assert tested[0] == 5 + 5 + 6**4 == 1306
+
+
+@st.composite
+def base_changed(draw):
+    n = draw(st.integers(2, 4))
+    entry = st.integers(-2, 2)
+    gs = [
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).filter(orbit._bareiss))
+        for _ in range(3)
+    ]
+    member = draw(st.booleans())
+    T = apply_gl(gs, unit_tensor(n) if member else w_state_plus_unit(n))
+    c = Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 5)))
+    return T, member, c, draw(st.integers(0, 50))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(base_changed())
+def test_second_slot_agrees_and_scaling_invariance(case):
+    T, member, c, seed = case
+    expected = "member" if member else "non_member"
+    assert orbit._side_verdict(slices_along_a(T), seed, "A").verdict == expected
+    assert orbit._side_verdict(slices_along_b(T), seed, "B").verdict == expected
+    assert unit_orbit_member(T, seed) == unit_orbit_member(T.scale(c), seed)
 
 
 def test_apply_gl_identity_and_scaling():
