@@ -7,7 +7,6 @@ All arithmetic is exact over Q (fractions.Fraction); every verdict is a
 checkable certificate or a reproducible dimension count.
 """
 
-from ._kernels_py import backend_name
 from .errors import (
     BordersubError,
     CapExceededError,
@@ -82,5 +81,11 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name():
+    """The kernels are plain Python; the name is reported by the CLI."""
+    return "python"
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]

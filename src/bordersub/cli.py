@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from ._kernels_py import backend_name
+from . import backend_name
 from .errors import BordersubError, CapExceededError, InternalError, InvalidValueError, PreconditionError
 from .monomials import Monomial, generator_family, invariant_monomials_within, is_torus_invariant
 from .nullcone import ENUMERATION_CAP, enumerate_maximal_components, is_maximal_nullcone_support, nullcone_feasible

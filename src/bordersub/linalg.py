@@ -1,9 +1,9 @@
-"""Exact rational linear algebra on top of the integer echelon kernel.
+"""Exact linear algebra on integer rows: rank and kernel.
 
-All computations are over Q with no rounding anywhere.  Rows of rational
-matrices are scaled to integers (row scaling preserves rank, row space and
-kernel), reduced by the backend's fraction-free elimination, and results are
-converted back to canonical rational or primitive-integer form.
+Every caller hands in integer rows.  ``echelon_rows`` reduces them by
+fraction-free elimination, and ``kernel_int`` reads a canonical basis off
+the rational reduced echelon form of the result.  Nothing is rounded, and
+there is one implementation: plain Python on ints.
 """
 
 from __future__ import annotations
@@ -11,29 +11,64 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._kernels_py import echelon_rows
+
+def _normalize_row(row):
+    """Divide out the content and make the leading entry positive."""
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+    if g == 0:
+        return row
+    lead = 0
+    for x in row:
+        if x:
+            lead = x
+            break
+    if lead < 0:
+        g = -g
+    if g != 1:
+        row = [x // g for x in row]
+    return row
 
 
-def _int_rows(rows):
-    """Scale each rational row by the lcm of its denominators."""
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            f = Fraction(x)
-            den = lcm(den, f.denominator)
-        out.append([int(Fraction(x) * den) for x in row])
-    return out
+def echelon_rows(rows):
+    """Reduce integer rows to echelon form; returns {pivot column: row}.
+
+    Fraction-free: each elimination step is a cross-multiplication
+    ``row*p[c] - p*row[c]`` followed by content removal, so every
+    intermediate value is an exact integer of controlled size.  The row
+    space (hence rank and kernel) is preserved exactly.
+    """
+    pivots = {}
+    ncols = len(rows[0]) if rows else 0
+    for src in rows:
+        row = list(src)
+        c = 0
+        while c < ncols:
+            x = row[c]
+            if x == 0:
+                c += 1
+                continue
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = _normalize_row(row)
+                break
+            a = piv[c]
+            g = gcd(a, x)
+            ma = a // g
+            mb = x // g
+            row = [ma * rj - mb * pj for rj, pj in zip(row, piv)]
+            # row[c] is now zero; periodic content removal keeps entries small
+            row = _normalize_row(row)
+            c += 1
+    return pivots
 
 
 def rank_int(rows):
     if not rows:
         return 0
     return len(echelon_rows(rows))
-
-
-def rank_rational(rows):
-    return rank_int(_int_rows(rows))
 
 
 def _rref_from_pivots(pivots):
@@ -57,16 +92,7 @@ def primitive_int_vector(vec):
     den = 1
     for x in vec:
         den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return ints
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        g = -g
-    return [x // g for x in ints]
+    return _normalize_row([int(Fraction(x) * den) for x in vec])
 
 
 def kernel_int(rows, ncols):
@@ -86,26 +112,3 @@ def kernel_int(rows, ncols):
             vec[c] = -rref[r][f]
         basis.append(primitive_int_vector(vec))
     return basis
-
-
-# -- small dense rational matrices ----------------------------------------
-
-
-def mat_inverse(a):
-    """Exact inverse by Gauss-Jordan, or None when singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if aug[i][c]), None)
-        if p is None:
-            return None
-        aug[r], aug[p] = aug[p], aug[r]
-        piv = aug[r][c]
-        aug[r] = [x / piv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]

@@ -7,6 +7,9 @@ every index value v, the number of factors carrying v in slot 1, slot 2 and
 slot 3 agree ("balanced").  Invariant monomials supported inside a set S of
 triples are precisely the obstructions to S lying in the nullcone; the
 linear-feasibility route in bordersub.nullcone is the dual view.
+
+``balanced_exists`` is the existence search on plain index triples behind
+``has_invariant_monomial_within``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from ._kernels_py import balanced_exists
 from .errors import InvalidValueError
-from .tensors import Support, Triple
+from .tensors import Support, Triple, json_int
+
 
 def duality_degree_cap(n):
     """Degree cap for the brute-force feasibility/invariant duality tests.
@@ -53,7 +56,7 @@ class Monomial:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(int(obj["n"]), tuple(tuple(int(v) for v in t) for t in obj["factors"]))
+            return cls(json_int(obj["n"]), tuple(tuple(json_int(v) for v in t) for t in obj["factors"]))
         except (KeyError, TypeError) as exc:
             raise InvalidValueError(f"malformed monomial JSON: {exc}") from exc
 
@@ -114,9 +117,74 @@ def invariant_monomials_within(S: Support, max_degree) -> list[Monomial]:
     return out
 
 
+def balanced_exists(n, triples, max_degree):
+    """Is there a nonempty multiset of the given triples, of size at most
+    max_degree, whose three slot-wise value counts agree for every value?
+
+    Such a multiset is exactly the exponent vector of a monomial in the
+    coordinates x_{ijk} killed by every zero-sum diagonal one-parameter
+    subgroup.  DFS over multiplicities with two prunes: the final size is at
+    least sum_v max_slot_count(v), and a slot deficit for a value must be
+    fillable by some remaining triple.
+
+    Skipping a triple changes no count, so a node skips ahead in a loop, up
+    to the first position past which some deficit can no longer be filled,
+    and recurses only to use a triple: the depth stays within
+    max_degree + 1 however many triples there are.  The positions are tried
+    last-first, the order of one recursion per skip.
+    """
+    m = len(triples)
+    if m == 0:
+        return False
+    cnt = [[0, 0, 0] for _ in range(n + 1)]  # cnt[v][s]: factors with v in slot s
+    # last_s[v]: the last position whose triple carries v in slot s, or -1
+    last0, last1, last2 = ([-1] * (n + 1) for _ in range(3))
+    for idx, (i, j, k) in enumerate(triples):
+        last0[i] = last1[j] = last2[k] = idx
+
+    def rec(idx, deg):
+        lower = 0
+        end = m
+        balanced = True
+        for v in range(1, n + 1):
+            c0, c1, c2 = cnt[v]
+            if c0 == c1 == c2:
+                lower += c0
+                continue
+            balanced = False
+            top = max(c0, c1, c2)
+            lower += top
+            if c0 < top and last0[v] < end:
+                end = last0[v] + 1
+            if c1 < top and last1[v] < end:
+                end = last1[v] + 1
+            if c2 < top and last2[v] < end:
+                end = last2[v] + 1
+        if balanced and deg >= 1:
+            return True
+        if lower > max_degree:
+            return False
+        for k in range(end - 1, idx - 1, -1):
+            t = triples[k]
+            used = 0
+            while deg + used < max_degree:
+                used += 1
+                for s in range(3):
+                    cnt[t[s]][s] += 1
+                if rec(k + 1, deg + used):
+                    for s in range(3):
+                        cnt[t[s]][s] -= used
+                    return True
+            for s in range(3):
+                cnt[t[s]][s] -= used
+        return False
+
+    return rec(0, 0)
+
+
 def has_invariant_monomial_within(S: Support, max_degree) -> bool:
     """Existence version of invariant_monomials_within; same predicate as
-    "the listing is nonempty" but short-circuits, via the backend kernel."""
+    "the listing is nonempty" but short-circuits, via balanced_exists."""
     if max_degree < 1:
         raise InvalidValueError("max_degree must be >= 1")
     return balanced_exists(S.n, S.sorted_triples(), max_degree)

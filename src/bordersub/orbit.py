@@ -45,7 +45,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DimensionMismatchError, InvalidValueError
-from .linalg import mat_inverse, rank_int
+from .linalg import rank_int
 from .tensors import NONZERO_SMALL, Tensor3
 
 #: seeded random slice combinations tried after the basis slices
@@ -266,9 +266,9 @@ def unit_orbit_member(T: Tensor3, seed) -> OrbitVerdict:
 def random_invertible(n, rng):
     """Small-integer invertible matrix, retried until nonsingular."""
     while True:
-        m = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if mat_inverse(m) is not None:
-            return m
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if _bareiss(m):
+            return [[Fraction(x) for x in row] for row in m]
 
 
 def gl_invariance_probe(n, cases, seed):

@@ -40,6 +40,16 @@ def _check_triple(n, t):
     return (t[0], t[1], t[2])
 
 
+def json_int(value):
+    """A number read from JSON, accepted only when it is a JSON integer.
+
+    Floats, strings and booleans raise InvalidValueError: int() would read
+    1.7 as 1 and true as 1, and judge a different input than the file's."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidValueError(f"{value!r} is not a JSON integer")
+
+
 @dataclass(frozen=True)
 class Support:
     """A finite set of index triples: a coordinate subspace of A (x) B (x) C."""
@@ -85,14 +95,14 @@ class Support:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls.of(int(obj["n"]), [tuple(int(v) for v in t) for t in obj["triples"]])
+            return cls.of(json_int(obj["n"]), [tuple(json_int(v) for v in t) for t in obj["triples"]])
         except (KeyError, TypeError) as exc:
             raise InvalidValueError(f"malformed support JSON: {exc}") from exc
 
 
 def _parse_fraction(s):
     """Exact fraction string "p" or "p/q"; decimal or float syntax rejected."""
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or "." in s or "e" in s.lower():
         raise InvalidValueError(f"coefficient {s!r} is not a decimal-free fraction string")
@@ -160,8 +170,8 @@ class Tensor3:
             entries = {}
             for row in obj["entries"]:
                 i, j, k, c = row
-                entries[(int(i), int(j), int(k))] = _parse_fraction(c)
-            return cls(int(obj["n"]), entries)
+                entries[(json_int(i), json_int(j), json_int(k))] = _parse_fraction(c)
+            return cls(json_int(obj["n"]), entries)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, InvalidValueError):
                 raise

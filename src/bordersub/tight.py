@@ -15,8 +15,10 @@ all collisions (found deterministically along the moment-curve coefficients
 to the smallest integer multiple.
 
 ``exhaustive_tight_search`` is the brute-force oracle used by the tests:
-fail-first backtracking over integer assignments in a fixed window, sharing
-no machinery with the decision procedure above.
+its kernel ``tight_search`` runs fail-first backtracking over integer
+assignments in a fixed window.  It lives in this module but shares no
+machinery with the decision procedure above: no ``kernel_int``, no linear
+algebra at all.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from ._kernels_py import tight_search
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int
-from .tensors import Support
+from .tensors import Support, json_int
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,8 @@ class TightWitness:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(int(obj["n"]), tuple(obj["tauA"]), tuple(obj["tauB"]), tuple(obj["tauC"]))
+            tau_a, tau_b, tau_c = (tuple(map(json_int, obj[key])) for key in ("tauA", "tauB", "tauC"))
+            return cls(json_int(obj["n"]), tau_a, tau_b, tau_c)
         except (KeyError, TypeError) as exc:
             raise InvalidValueError(f"malformed witness JSON: {exc}") from exc
 
@@ -121,6 +123,158 @@ def find_tight_witness(S: Support):
     if not check_tight_witness(S, witness):
         raise InternalError("constructed tightness witness failed verification")
     return witness
+
+
+# -- the brute-force oracle --------------------------------------------------
+
+
+def _value_sequence(bound):
+    """0, 1, -1, 2, -2, ... out to +/-bound."""
+    yield 0
+    for v in range(1, bound + 1):
+        yield v
+        yield -v
+
+
+def tight_search(n, triples, bound):
+    """Search for injective tau_A, tau_B, tau_C: [n] -> [-bound, bound] with
+    tau_A(i)+tau_B(j)+tau_C(k) = 0 on every triple.
+
+    Exhaustive over the window up to the translation symmetry
+    (tau_A+a, tau_B+b, tau_C-a-b), which preserves both the sum conditions
+    and injectivity; the search pins tau_A(1) = tau_B(1) = 0.  Returns the
+    full assignment as a flat list [tau_A | tau_B | tau_C] or None.
+
+    Backtracking with unit propagation: a triple with two assigned
+    endpoints forces the third, so branching only happens on genuinely free
+    variables.  Branching is fail-first (Haralick & Elliott 1980): each node
+    branches on the unassigned constrained variable that sits in the most
+    triples with exactly two unknowns, the lowest index on ties, so a
+    forced collision surfaces before unrelated variables are enumerated.
+    Values are tried in the order 0, 1, -1, 2, -2, ...  Used as the
+    brute-force oracle against the linear-algebra tightness decision;
+    deliberately shares no code with it.
+    """
+    nv = 3 * n
+    cons = [(i - 1, n + j - 1, 2 * n + k - 1) for (i, j, k) in triples]
+    m = len(cons)
+    cons_of = [[] for _ in range(nv)]
+    for ci, vs in enumerate(cons):
+        for v in vs:
+            cons_of[v].append(ci)
+
+    val = [0] * nv
+    done = [False] * nv
+    # the three variables of a constraint sit in disjoint groups (A, B, C),
+    # so none of them can coincide
+    unknown = [3] * m
+    ksum = [0] * m
+
+    trail = []
+
+    def group_ok(v, x):
+        base = (v // n) * n
+        for u in range(base, base + n):
+            if u != v and done[u] and val[u] == x:
+                return False
+        return True
+
+    def assign(v, x, queue):
+        """Returns False on immediate contradiction; always leaves counters
+        consistent so undo() can unwind unconditionally."""
+        if x < -bound or x > bound or not group_ok(v, x):
+            return False
+        val[v] = x
+        done[v] = True
+        trail.append(v)
+        ok = True
+        for ci in cons_of[v]:
+            unknown[ci] -= 1
+            ksum[ci] += x
+            if unknown[ci] == 0:
+                if ksum[ci] != 0:
+                    ok = False
+            elif unknown[ci] == 1:
+                queue.append(ci)
+        return ok
+
+    def undo_to(mark):
+        while len(trail) > mark:
+            v = trail.pop()
+            done[v] = False
+            for ci in cons_of[v]:
+                unknown[ci] += 1
+                ksum[ci] -= val[v]
+
+    branch_vars = [v for v in range(nv) if cons_of[v]]
+
+    def pick_branch():
+        """Fail-first: the most triples with two unknowns, lowest index on
+        ties; None once every constrained variable is assigned."""
+        best, best_score = None, -1
+        for v in branch_vars:
+            if done[v]:
+                continue
+            score = 0
+            for ci in cons_of[v]:
+                if unknown[ci] == 2:
+                    score += 1
+            if score > best_score:
+                best, best_score = v, score
+        return best
+
+    def fill_free():
+        for v in range(nv):
+            if done[v]:
+                continue
+            for x in _value_sequence(bound):
+                if group_ok(v, x):
+                    val[v] = x
+                    done[v] = True
+                    trail.append(v)
+                    break
+            else:  # pragma: no cover - window always dwarfs n
+                return False
+        return True
+
+    def solve(queue):
+        mark = len(trail)
+        # unit propagation
+        qi = 0
+        while qi < len(queue):
+            ci = queue[qi]
+            qi += 1
+            if unknown[ci] != 1:
+                continue
+            v = next(u for u in cons[ci] if not done[u])
+            if not assign(v, -ksum[ci], queue):
+                undo_to(mark)
+                return False
+        v = pick_branch()
+        if v is not None:
+            for x in _value_sequence(bound):
+                sub = []
+                mark2 = len(trail)
+                if assign(v, x, sub):
+                    if solve(sub):
+                        return True
+                undo_to(mark2)
+            undo_to(mark)
+            return False
+        if fill_free():
+            return True
+        undo_to(mark)
+        return False
+
+    q0 = []
+    if not assign(0, 0, q0):
+        return None
+    if n >= 1 and not assign(n, 0, q0):
+        undo_to(0)
+        return None
+    if solve(q0):
+        return list(val)
+    return None
 
 
 def oracle_window(n) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, InvalidValueError
-from .tensors import Support, Tensor3, Triple
+from .tensors import Support, Tensor3, Triple, json_int
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ class TorusWeight:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(int(obj["n"]), tuple(obj["lambda"]), tuple(obj["mu"]), tuple(obj["nu"]))
+            lam, mu, nu = (tuple(map(json_int, obj[key])) for key in ("lambda", "mu", "nu"))
+            return cls(json_int(obj["n"]), lam, mu, nu)
         except (KeyError, TypeError) as exc:
             raise InvalidValueError(f"malformed certificate JSON: {exc}") from exc
 

@@ -226,6 +226,42 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_certify_rejects_non_integral_certificate(tmp_path, capsys):
+    # int() would read mu_1 = 1.7 as 1 and judge that certificate instead
+    tfile = write(tmp_path, "t.json", (unit_tensor(3) + Tensor3(3, {(2, 1, 1): 1})).to_json())
+    cert = write(tmp_path, "c.json", {"n": 3, "lambda": [1, 0, -1], "mu": [1.7, -1, 0], "nu": [-2, 1, 1]})
+    code, out, err = run(capsys, "certify", "--tensor", tfile, "--certificate", cert)
+    assert (code, out) == (2, "")
+    assert "1.7 is not a JSON integer" in err
+
+
+def test_nullcone_check_rejects_non_integral_support(tmp_path, capsys):
+    # int() would read (1.9, 2, 1) as (1, 2, 1), a feasible support
+    sfile = write(tmp_path, "s.json", {"n": 3, "triples": [[1.9, 2, 1]]})
+    code, out, err = run(capsys, "nullcone", "check", "--support", sfile)
+    assert (code, out) == (2, "")
+    assert "1.9 is not a JSON integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, payload",
+    [
+        (("nullcone", "check"), "--support", {"n": 3.0, "triples": [[1, 2, 1]]}),
+        (("tight", "check"), "--support", {"n": 2, "triples": [[1, "2", 1]]}),
+        (("tight", "check"), "--support", {"n": 2, "triples": [[1, True, 1]]}),
+        (("unit-orbit", "--seed", "0"), "--tensor", {"n": 2, "entries": [[1, 1, 1, "1"], [2.0, 2, 2, "1"]]}),
+        (("certify",), "--tensor", {"n": "2", "entries": [[1, 1, 1, "1"], [2, 2, 2, "1"]]}),
+        (("stab", "dim"), "--tensor", {"n": 2, "entries": [[1, 1, 1, True], [2, 2, 2, "1"]]}),
+        (("invariants", "check"), "--monomial", {"n": 2, "factors": [[1, 1, 1.5]]}),
+    ],
+)
+def test_json_loaders_reject_non_integers(tmp_path, capsys, argv, flag, payload):
+    path = write(tmp_path, "in.json", payload)
+    code, out, err = run(capsys, *argv, flag, path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_reproduce_n1(capsys):
     code, out, err = run(capsys, "reproduce", "--n-max", "1")
     assert code == 0

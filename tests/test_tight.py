@@ -1,11 +1,13 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
-import bordersub._kernels_py as kernels
+import bordersub.tight as tight_module
 from bordersub import (
     DimensionMismatchError,
+    InvalidValueError,
     Permutation,
     Support,
     TightWitness,
@@ -90,12 +92,42 @@ def test_oracle_agreement_all_n2_supports():
         assert (find_tight_witness(S) is not None) == exhaustive_tight_search(S)
 
 
+def test_witnesses_pinned():
+    # sha256 of the witness reprs per support set: kernel_int's bases and the
+    # moment-curve walk fix every witness, so a change to either that moves
+    # one fails here on any machine
+    cube = list(product((1, 2), repeat=3))
+    sets = {
+        "n2": [Support.of(2, [t for b, t in enumerate(cube) if mask >> b & 1]) for mask in range(256)],
+        "crit9": [sample_support(3, ("tight", s), 10) for s in range(200)],
+        "plane": [plane_support(n) for n in range(1, 7)],
+    }
+    expected = {
+        "n2": (33, "e3aeaa0e741e32adff851e79b251bdf5c6ae8188df3c81996bedea576daaa082"),
+        "crit9": (53, "94dfd1a808d897c75777cba37c25f446a6a1a1c64c3098663353a9625f8f1346"),
+        "plane": (6, "3ccb1a94f734a550ee6525d8a5b328a30b40614d05a8c366bb76cf2ed949ed48"),
+    }
+    for name, supports in sets.items():
+        witnesses = [find_tight_witness(S) for S in supports]
+        found = sum(w is not None for w in witnesses)
+        assert (found, hashlib.sha256(repr(witnesses).encode()).hexdigest()) == expected[name], name
+
+
+def test_oracle_shares_no_linear_algebra(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the oracle called kernel_int")
+
+    monkeypatch.setattr(tight_module, "kernel_int", forbidden)
+    assert exhaustive_tight_search(plane_support(4)) is True
+    assert exhaustive_tight_search(build_W(3, "W").union(diagonal_support(3))) is False
+
+
 def test_oracle_work_pinned_at_window_81(monkeypatch):
     # the 200 supports of acceptance criterion 9 at the default window
     # (3n)^2 = 81: the number of candidate values the search draws is
     # deterministic, so a slower branching rule fails here on any machine
     drawn = 0
-    values = kernels._value_sequence
+    values = tight_module._value_sequence
 
     def counting(bound):
         nonlocal drawn
@@ -103,7 +135,7 @@ def test_oracle_work_pinned_at_window_81(monkeypatch):
             drawn += 1
             yield x
 
-    monkeypatch.setattr(kernels, "_value_sequence", counting)
+    monkeypatch.setattr(tight_module, "_value_sequence", counting)
     for s in range(200):
         exhaustive_tight_search(sample_support(3, ("tight", s), 10))
     assert drawn == 251_467
@@ -151,3 +183,6 @@ def test_plane_tensor_doubly_certified():
 def test_witness_json_round_trip():
     w = affine_witness(4)
     assert TightWitness.from_json(w.to_json()) == w
+    for key, bad in (("n", 4.0), ("tauA", [1.5, -1, -3, -5]), ("tauC", ["-2", -1, 0, 1])):
+        with pytest.raises(InvalidValueError):
+            TightWitness.from_json({**w.to_json(), key: bad})
