@@ -88,4 +88,24 @@ def backend_name():
     return "python"
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API names, grouped by module as imported above; the submodules stay
+# package attributes but are not exported
+__all__ = [
+    "BordersubError", "CapExceededError", "DimensionMismatchError", "InternalError", "InvalidValueError",
+    "PreconditionError",
+    "Monomial", "duality_degree_cap", "generator_family", "has_invariant_monomial_within",
+    "invariant_monomials_within", "is_torus_invariant",
+    "ComponentEnumeration", "FeasibilityOutcome", "enumerate_maximal_components",
+    "is_maximal_nullcone_support", "nullcone_feasible",
+    "OrbitVerdict", "SliceFamily", "apply_gl", "is_concise", "slices_along_a", "slices_along_b",
+    "unit_orbit_member",
+    "LieTriple", "StructureReport", "TangentReport", "act", "cone_stabilizer_dim",
+    "cone_stabilizer_structure", "orbit_cone_tangent_dim", "orbit_dim_unit", "qmax_dimension_bound",
+    "stabilizer_basis", "stabilizer_dim",
+    "Permutation", "Support", "Tensor3", "apply_permutation", "build_tight_U", "build_W", "diagonal_support",
+    "sample_coefficients", "sample_support", "tensor_from_support", "unit_tensor",
+    "TightWitness", "check_tight_witness", "exhaustive_tight_search", "find_tight_witness",
+    "CertificateVerdict", "TorusWeight", "binary_cocharacter", "check_degeneration_certificate",
+    "positive_support", "weight_of",
+    "backend_name",
+]

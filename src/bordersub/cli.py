@@ -73,8 +73,11 @@ def _load_json(path):
 def _write_output(args, payload):
     text = dumps_json(payload) if args.format == "json" else _as_table(payload)
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidValueError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

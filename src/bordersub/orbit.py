@@ -5,16 +5,16 @@ A concise tensor lies in the orbit iff it decomposes as sum of u_s (x) v_s
 combination X of the first-slot slices S_i; the family N_i = S_i X^{-1}
 then consists of commuting matrices, each diagonalizable over C, exactly
 when such a decomposition exists (conciseness makes the recovered first
-factors a basis).  Diagonalizability over C is decided without leaving Q:
-N is diagonalizable iff q(N) = 0 for q the squarefree part char(N)/gcd(char,
-char') of its characteristic polynomial.
+factors a basis).  Diagonalizability over C is decided without leaving Q,
+by two integer ranks: N is diagonalizable iff dim Q[N] equals the number of
+distinct eigenvalues of N, the rank of the Hankel matrix of its power sums.
 
 All matrix arithmetic is fraction-free, on Python ints.  The slices are
 scaled by the lcm of their denominators (a common scale leaves N_i
 unchanged), candidates X are tested by Bareiss determinants, and the test
 runs on M_i = S_i adj(X) = det(X) N_i: a common nonzero scalar changes
 neither commuting nor diagonalizability, so the same pair or slice fails
-first.  Faddeev-LeVerrier gives integer characteristic polynomials.
+first.
 
 Only the first-slot slices are tested; a second-slot pass could not change
 the verdict.  If the first-slot test passes, T_ijk = sum_s U_is V_js W_ks
@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatchError, InvalidValueError
@@ -127,70 +127,28 @@ def _bareiss(m, adjugate=False):
     return [[sign * x for x in row[n:]] for row in a] if adjugate else sign * prev
 
 
-def _char_poly(mat):
-    """Characteristic polynomial det(x I - M) of an integer matrix by the
-    Faddeev-LeVerrier recurrence, leading 1 first; its coefficients are
-    integers, so each division by k is exact."""
-    n = len(mat)
-    coeffs = [1]
-    AM = mat  # A M_1 with M_1 = I
-    for k in range(1, n + 1):
-        if k > 1:
-            c = coeffs[-1]
-            AM = _mul(mat, [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)])
-        coeffs.append(-sum(AM[i][i] for i in range(n)) // k)
-    return coeffs
-
-
-def _poly_deriv(p):
-    deg = len(p) - 1
-    return [c * (deg - i) for i, c in enumerate(p[:-1])]
-
-
-def _poly_divmod(a, b):
-    """Long division of leading-first coefficient lists over Q; b[0] must be
-    nonzero.  Returns (quotient, remainder-with-padding)."""
-    a = list(a)
-    if len(a) < len(b):
-        return [], a
-    out = []
-    for shift in range(len(a) - len(b) + 1):
-        f = Fraction(a[shift]) / b[0]
-        out.append(f)
-        if f:
-            for i in range(len(b)):
-                a[shift + i] -= f * b[i]
-    return out, a[len(out):]
-
-
-def _poly_gcd(a, b):
-    """Monic gcd over Q of leading-first coefficient lists; a[0] nonzero."""
-    while any(b):
-        b = b[next(i for i, c in enumerate(b) if c):]
-        a, b = b, _poly_divmod(a, b)[1]
-    return [Fraction(c) / a[0] for c in a]
-
-
 def _is_diagonalizable(mat):
-    """q(M) = 0 for q the squarefree part of the characteristic polynomial
-    of the integer matrix M; equivalent to the minimal polynomial having no
-    repeated roots.  q(M) is evaluated by integer Horner steps on q scaled by
-    its common denominator."""
-    p = _char_poly(mat)
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) == 1:
-        return True  # q = p, and p(M) = 0 by Cayley-Hamilton
-    q, rem = _poly_divmod(p, g)
-    if any(rem):
-        raise AssertionError("char poly not divisible by gcd(p, p')")
-    den = lcm(*(c.denominator for c in q))
+    """Whether the integer matrix M is diagonalizable over C, by two integer
+    ranks.  The number d of distinct eigenvalues of M is the rank of the
+    Hankel matrix of power sums [Tr(M^(i+j))] for i, j < n (Hermite's
+    quadratic form; Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, 2006, ch. 4), and Tr(M^k) is read off two powers below M^n.
+    The minimal polynomial has degree at least d, so I, M, ..., M^(d-1) are
+    independent, and it is squarefree iff M^d depends on them.  M is first
+    divided by the gcd of its entries, which changes neither rank."""
     n = len(mat)
-    acc = [[0] * n for _ in range(n)]
-    for c in (int(c * den) for c in q):
-        acc = _mul(acc, mat)
-        for i in range(n):
-            acc[i][i] += c
-    return not any(any(row) for row in acc)
+    g = gcd(*chain(*mat))
+    if g > 1:
+        mat = [[x // g for x in row] for row in mat]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    while len(powers) < n:
+        powers.append(_mul(powers[-1], mat))
+    sums = []
+    for k in range(2 * n - 1):
+        a = min(k, n - 1)
+        sums.append(sum(map(mul, chain(*powers[a]), chain(*zip(*powers[k - a])))))
+    distinct = rank_int([sums[i : i + n] for i in range(n)])
+    return distinct == n or rank_int([list(chain(*p)) for p in powers[: distinct + 1]]) == distinct
 
 
 @dataclass(frozen=True)

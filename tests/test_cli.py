@@ -226,6 +226,16 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # exit 1 is a negative verdict; a failed write must not read as one
+    sfile = write(tmp_path, "s.json", build_W(2, "W").to_json())
+    target = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "nullcone", "check", "--support", sfile, "-o", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_certify_rejects_non_integral_certificate(tmp_path, capsys):
     # int() would read mu_1 = 1.7 as 1 and judge that certificate instead
     tfile = write(tmp_path, "t.json", (unit_tensor(3) + Tensor3(3, {(2, 1, 1): 1})).to_json())

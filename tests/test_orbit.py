@@ -50,9 +50,10 @@ def w_state_plus_unit(n):
     return Tensor3(n, entries)
 
 
-def laplace_char_poly(mat):
+def laplace_charpoly(mat):
     """det(xI - N) by cofactor expansion over polynomial coefficient lists
-    (leading first); independent of the production recurrence."""
+    (leading first); a reference for the Bareiss determinant, sharing no code
+    with it."""
 
     def poly_mul(a, b):
         out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -94,14 +95,6 @@ def laplace_char_poly(mat):
     return poly
 
 
-def test_char_poly_against_laplace_expansion():
-    rng = random.Random(73)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert orbit._char_poly(mat) == laplace_char_poly(mat)
-
-
 def test_bareiss_determinant_and_adjugate():
     # det(M) = (-1)^n char(M)(0), and M adj(M) = det(M) I
     rng = random.Random(79)
@@ -109,7 +102,7 @@ def test_bareiss_determinant_and_adjugate():
         n = rng.randint(1, 5)
         mat = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
         det = orbit._bareiss(mat)
-        assert det == (-1) ** n * laplace_char_poly(mat)[-1]
+        assert det == (-1) ** n * laplace_charpoly(mat)[-1]
         if det:
             adj = orbit._bareiss(mat, adjugate=True)
             assert orbit._mul(mat, adj) == [[det * int(i == j) for j in range(n)] for i in range(n)]
@@ -125,6 +118,26 @@ def test_random_invertible_pinned():
     assert digest == "086a6ac8a8aef98b5758b0cfe9f26609eae52df8ae887c19263c49bb9350baf8"
 
 
+# monic polynomials, leading coefficient first
+SQUAREFREE_BLOCKS = ([1, 0, 1], [1, 0, -2], [1, 0, 0, -2], [1, 1, 1], [1, 0, 0, 0, 1], [1, -3, 2], [1, -1], [1, 2], [1, 0])
+REPEATED_ROOT_BLOCKS = ([1, -2, 1], [1, 0, 2, 0, 1], [1, 0, 0])  # (x-1)^2, (x^2+1)^2, x^2
+
+
+def block_companion(polys):
+    """Block-diagonal matrix of the companion matrices of the monic polys."""
+    n = sum(len(p) - 1 for p in polys)
+    mat = [[0] * n for _ in range(n)]
+    at = 0
+    for p in polys:
+        d = len(p) - 1
+        for i in range(d):
+            if i:
+                mat[at + i][at + i - 1] = 1
+            mat[at + i][at + d - 1] = -p[d - i]
+        at += d
+    return mat
+
+
 def test_diagonalizability_decisions():
     is_diagonalizable = orbit._is_diagonalizable
     assert is_diagonalizable([[1, 0], [0, 1]])  # repeated eigenvalue, still diagonal
@@ -133,6 +146,27 @@ def test_diagonalizability_decisions():
     assert is_diagonalizable([[0, 1], [-1, 0]])  # complex eigenvalues, squarefree
     assert is_diagonalizable([[2, 0, 0], [0, 2, 0], [0, 0, 5]])  # repeated root, squarefree minimal polynomial
     assert not is_diagonalizable([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+    # block companion matrices B: B is diagonalizable iff every block's
+    # polynomial is squarefree, and P B adj(P) = det(P) P B P^-1 iff B is
+    rng = random.Random("companion-blocks")
+    cases = [([p], True) for p in SQUAREFREE_BLOCKS] + [([p], False) for p in REPEATED_ROOT_BLOCKS]
+    cases += [([[1, -1]] * 3, True), ([[1, 2]] * 2 + [[1, -1]] * 4, True), ([[1, 0, 1]] * 3, True)]
+    while len(cases) < 240:
+        polys = [rng.choice(SQUAREFREE_BLOCKS) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            polys.insert(rng.randrange(len(polys) + 1), rng.choice(REPEATED_ROOT_BLOCKS))
+        if sum(len(p) - 1 for p in polys) <= 6:
+            cases.append((polys, all(p in SQUAREFREE_BLOCKS for p in polys)))
+    assert sum(expected for _, expected in cases) > 80 and sum(not expected for _, expected in cases) > 60
+    for polys, expected in cases:
+        B = block_companion(polys)
+        n = len(B)
+        P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        while not orbit._bareiss(P):
+            P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        M = orbit._mul(orbit._mul(P, B), orbit._bareiss(P, adjugate=True))
+        assert is_diagonalizable(B) is expected, polys
+        assert is_diagonalizable(M) is expected, polys
 
 
 def test_conciseness():
@@ -248,6 +282,21 @@ def test_unit_orbit_verdicts_pinned():
     assert sum(r.startswith("OrbitVerdict(verdict='member'") for r in reprs) == 142
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == "8775cd650d160d87fc83305f72a4dbbccc8189fcaa7b266d2370d06e0340c42f"
+
+
+def test_unit_orbit_verdicts_pinned_n6_to_8():
+    # g . unit and g . (W-state + unit), three draws of g per n; sha256 of
+    # the verdict reprs computed with the characteristic-polynomial test
+    reprs = []
+    for n in range(6, 9):
+        for k in range(3):
+            rng = random.Random(f"orbit-pin:{n}:{k}")
+            gs = [random_invertible(n, rng) for _ in range(3)]
+            for T in (unit_tensor(n), w_state_plus_unit(n)):
+                reprs.append(repr(unit_orbit_member(apply_gl(gs, T), k)))
+    assert sum(r.startswith("OrbitVerdict(verdict='member'") for r in reprs) == 9
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == "7ac8bc6c095db73e2b5745ef45b23aeccb2ddd064f5057a2b3e5abfdd4b401cb"
 
 
 def test_alternating_5_walks_the_whole_grid(monkeypatch):
