@@ -3,8 +3,11 @@ tensors: nullcone feasibility with integer cocharacter certificates,
 invariant-monomial obstructions, Lie-algebra stabilizer and orbit dimension
 counts, unit-orbit membership, and tight supports.
 
-All arithmetic is exact over Q (fractions.Fraction); every verdict is a
-checkable certificate or a reproducible dimension count.
+All arithmetic is exact.  The API is rational (Tensor3, LieTriple and
+SliceFamily hold fractions.Fraction values); every kernel below it works
+on integers, and tensors.integer_entries is the one place a tensor's
+denominators are cleared.  Every verdict is a checkable certificate or a
+reproducible dimension count.
 """
 
 from .errors import (

@@ -53,9 +53,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
 from .simplex import phase_one
@@ -99,17 +98,15 @@ def _row(n, triple):
 
 
 def _certificate_from_point(n, x):
-    """Primitive integer cocharacter from a rational gauge-fixed point.
+    """Primitive integer cocharacter from the integer numerators x of a
+    gauge-fixed point x / den, den > 0.
 
-    Scaling by the positive lcm of denominators keeps every weight >= 1
-    (they were >= 1 and scale by the same factor); dividing by the gcd of
-    all entries keeps weights integral and >= 1 as well, since each weight
-    is then a positive multiple of the gcd."""
-    den = 1
-    for v in x:
-        den = lcm(den, Fraction(v).denominator)
-    lam = [int(Fraction(v) * den) for v in x[: n - 1]] + [0]
-    mu = [int(Fraction(v) * den) for v in x[n - 1 :]] + [0]
+    Taking the numerators scales every weight by den, so weights >= 1 stay
+    >= 1 and weights <= 0 stay <= 0; dividing by the gcd of all entries
+    keeps weights integral and >= 1 as well, since each weight is then a
+    positive multiple of the gcd."""
+    lam = x[: n - 1] + [0]
+    mu = x[n - 1 :] + [0]
     nu = [-a - b for a, b in zip(lam, mu)]
     g = 0
     for v in lam + mu + nu:
@@ -135,12 +132,12 @@ def _solve_system(n, ins, outs):
     outs = sorted(outs)
     constraints = [(_row(n, t), 1) for t in ins]
     constraints += [([-c for c in _row(n, t)], 0) for t in outs]
-    x, y = phase_one(2 * (n - 1), constraints)
-    if x is None:
+    point, y = phase_one(2 * (n - 1), constraints)
+    if point is None:
         core_in = frozenset(t for t, v in zip(ins, y) if v)
         core_out = frozenset(t for t, v in zip(outs, y[len(ins):]) if v)
         return None, (core_in, core_out)
-    cert = _certificate_from_point(n, x)
+    cert = _certificate_from_point(n, point[0])
     for t in ins:
         if weight_of(cert, t) < 1:
             raise InternalError(f"certificate violates weight >= 1 at {t}")

@@ -10,11 +10,11 @@ by two integer ranks: N is diagonalizable iff dim Q[N] equals the number of
 distinct eigenvalues of N, the rank of the Hankel matrix of its power sums.
 
 All matrix arithmetic is fraction-free, on Python ints.  The slices are
-scaled by the lcm of their denominators (a common scale leaves N_i
-unchanged), candidates X are tested by Bareiss determinants, and the test
-runs on M_i = S_i adj(X) = det(X) N_i: a common nonzero scalar changes
-neither commuting nor diagonalizability, so the same pair or slice fails
-first.
+cut from T's entries with their denominators cleared (a common scale
+leaves N_i unchanged), candidates X are tested by Bareiss determinants,
+and the test runs on M_i = S_i adj(X) = det(X) N_i: a common nonzero
+scalar changes neither commuting nor diagonalizability, so the same pair
+or slice fails first.
 
 Only the first-slot slices are tested; a second-slot pass could not change
 the verdict.  If the first-slot test passes, T_ijk = sum_s U_is V_js W_ks
@@ -41,12 +41,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import rank_int
-from .tensors import NONZERO_SMALL, Tensor3
+from .tensors import NONZERO_SMALL, Tensor3, integer_entries
 
 #: seeded random slice combinations tried after the basis slices
 SLICE_COMBO_ATTEMPTS = 5
@@ -66,15 +66,19 @@ class SliceFamily:
             raise InvalidValueError("need n slices of size n x n")
 
 
-def _slices(T: Tensor3, slot) -> SliceFamily:
-    """The n matrices of T with the index in `slot` fixed, indexed by the
-    other two indices in order."""
-    n = T.n
-    mats = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for idx, c in T.entries.items():
+def _slice_matrices(n, entries, slot, zero=0):
+    """The n matrices of the entries {triple: value} with the index in
+    `slot` fixed, indexed by the other two indices in order."""
+    mats = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for idx, c in entries.items():
         j, k = (v - 1 for s, v in enumerate(idx) if s != slot)
         mats[idx[slot] - 1][j][k] = c
-    return SliceFamily(n, tuple(tuple(tuple(row) for row in m) for m in mats))
+    return mats
+
+
+def _slices(T: Tensor3, slot) -> SliceFamily:
+    mats = _slice_matrices(T.n, T.entries, slot, Fraction(0))
+    return SliceFamily(T.n, tuple(tuple(tuple(row) for row in m) for m in mats))
 
 
 def slices_along_a(T: Tensor3) -> SliceFamily:
@@ -87,15 +91,10 @@ def slices_along_b(T: Tensor3) -> SliceFamily:
     return _slices(T, 1)
 
 
-def _scaled(family: SliceFamily):
-    """The slices times the lcm of all their denominators, as int matrices."""
-    den = lcm(1, *(x.denominator for s in family.slices for row in s for x in row))
-    return [[[x.numerator * (den // x.denominator) for x in row] for row in s] for s in family.slices]
-
-
 def is_concise(T: Tensor3) -> bool:
     """All three flattenings to n x n^2 matrices have full rank n."""
-    return all(rank_int([sum(s, []) for s in _scaled(_slices(T, slot))]) == T.n for slot in range(3))
+    entries = integer_entries(T)
+    return all(rank_int([sum(s, []) for s in _slice_matrices(T.n, entries, slot)]) == T.n for slot in range(3))
 
 
 def _mul(a, b):
@@ -192,8 +191,9 @@ def _invertible_combo(slices, seed, side):
     return None
 
 
-def _side_verdict(family: SliceFamily, seed, side):
-    slices = _scaled(family)
+def _side_verdict(T: Tensor3, seed, side):
+    """The slice test on the slices of T along `side` ("A" or "B")."""
+    slices = _slice_matrices(T.n, integer_entries(T), "AB".index(side))
     combo = _invertible_combo(slices, seed, side)
     if combo is None:
         return OrbitVerdict("inconclusive", "no invertible slice combination found within the retry budget", side)
@@ -217,7 +217,7 @@ def unit_orbit_member(T: Tensor3, seed) -> OrbitVerdict:
     would always agree."""
     if not is_concise(T):
         return OrbitVerdict("non_member", reason="not concise: some flattening has rank < n")
-    v = _side_verdict(slices_along_a(T), seed, "A")
+    v = _side_verdict(T, seed, "A")
     return OrbitVerdict("member") if v.verdict == "member" else v
 
 

@@ -1,12 +1,13 @@
 """Exact rational linear feasibility via a phase-1 simplex with integer
 pivoting, kept in dictionary form.
 
-Decides whether {x in Q^d : a_r . x >= b_r for all r} is nonempty and, when
-it is, returns one rational solution.  The textbook phase-1 tableau splits
-each free variable as x_j = u_j - v_j, gives each row r a surplus sur_r, and
-starts from a basis of artificials art_r after negating the rows with
-b_r < 0 (sign s_r = -1, else +1); the system is feasible iff the artificial
-objective minimizes to zero.
+Decides whether {x in Q^d : a_r . x >= b_r for all r}, with integer a_r and
+b_r, is nonempty and, when it is, returns one rational solution as integer
+numerators over one positive denominator.  The textbook phase-1 tableau
+splits each free variable as x_j = u_j - v_j, gives each row r a surplus
+sur_r, and starts from a basis of artificials art_r after negating the rows
+with b_r < 0 (sign s_r = -1, else +1); the system is feasible iff the
+artificial objective minimizes to zero.
 
 That tableau has 2d + 2m columns, but every row operation is linear, so the
 relations that hold at the start hold for ever: column v_j = -u_j, column
@@ -35,9 +36,9 @@ occur:
 Arithmetic is fraction-free (Edmonds/Bareiss integer pivoting): a pivot on
 entry p rescales every other row by p/den with a cross-multiplication whose
 division is exact, since all entries are minors of the original integer
-system, and the pivot row stays unscaled.  Integer input, which every
-caller in this package passes, never touches Fraction until the returned
-point is built; rational rows are first scaled to integers one by one.
+system, and the pivot row stays unscaled.  The rows go in as integers and
+every number that comes out is an integer; a caller with rational rows
+clears their denominators first.
 
 An infeasible system ends with a positive phase-1 objective, and the final
 dictionary then holds a Farkas certificate: multipliers y >= 0 with
@@ -51,49 +52,24 @@ Scaled by den, y_r is read off the dictionary:
   art_r with s_r = -1 always lets sur_r in);
 * 0 when sur_r is basic.
 
-Each y_r is then multiplied by the factor that scaled row r to integers,
-so y refers to the caller's rows.  Both outcomes are re-checked in exact
-integers before they are returned: the point against every row, the
-multipliers for y >= 0, y^T A = 0 and y^T b > 0.
+Both outcomes are re-checked in exact integers before they are returned:
+the point against every row, the multipliers for y >= 0, y^T A = 0 and
+y^T b > 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 
+def phase_one(num_vars, cons):
+    """Feasibility of {coeffs . x >= rhs} over integer rows (coeffs, rhs).
 
-def _integer_rows(constraints):
-    """Each row and its rhs scaled by a positive integer to integers, with
-    the scale factors."""
-    cons, scales = [], []
-    for row, b in constraints:
-        if type(b) is int and all(type(c) is int for c in row):
-            cons.append((row, b))
-            scales.append(1)
-            continue
-        row = [Fraction(c) for c in row]
-        b = Fraction(b)
-        den = lcm(b.denominator, *(c.denominator for c in row))
-        cons.append(([int(c * den) for c in row], int(b * den)))
-        scales.append(den)
-    return cons, scales
-
-
-def feasible_point(num_vars, constraints):
-    """One rational solution of {coeffs . x >= rhs}, or None when
-    infeasible.  Constraint entries may be ints or rationals."""
-    return phase_one(num_vars, constraints)[0]
-
-
-def phase_one(num_vars, constraints):
-    """(point, None) with a rational solution of {coeffs . x >= rhs}, or
-    (None, y) with integer Farkas multipliers, one per constraint: y >= 0,
-    sum y_r coeffs_r = 0 and sum y_r rhs_r > 0."""
+    Returns ((x, den), None) when feasible, x integer numerators and den > 0
+    an integer such that x / den is a solution, or (None, y) with integer
+    Farkas multipliers, one per constraint: y >= 0, sum y_r coeffs_r = 0
+    and sum y_r rhs_r > 0."""
     d = num_vars
-    cons, scales = _integer_rows(constraints)
     if not cons:
-        return [Fraction(0)] * d, None
+        return ([0] * d, 1), None
     m = len(cons)
     # virtual column indices: u_j = j, v_j = d + j, sur_r = 2d + r,
     # art_r = 2d + m + r; a pair is named by its first member (u_j, sur_r)
@@ -218,7 +194,7 @@ def phase_one(num_vars, constraints):
                 raise AssertionError("Farkas multipliers do not cancel the rows")
         if sum(v * b for v, (_, b) in zip(y, cons)) <= 0:
             raise AssertionError("Farkas multipliers give no contradiction")
-        return None, [v * f for v, f in zip(y, scales)]
+        return None, y
     x = [0] * d
     for i, var in enumerate(basis):
         if var < V:
@@ -228,4 +204,4 @@ def phase_one(num_vars, constraints):
     for row, b in cons:
         if sum(c * xi for c, xi in zip(row, x)) < b * den:
             raise AssertionError("simplex returned an infeasible point")
-    return [Fraction(xi, den) for xi in x], None
+    return (x, den), None

@@ -6,8 +6,10 @@ The derivative action is the Leibniz rule
 
 a linear map from the 3n^2-dimensional algebra to the n^3-dimensional
 tensor space once T is fixed.  ``_action_map`` builds that map once, as
-coordinate -> {unknown: coefficient}; everything below is exact linear
-algebra on it:
+coordinate -> {unknown: coefficient}; ``act`` evaluates it on T's exact
+entries, and every rank and kernel below is integer linear algebra on it,
+built from T's entries with their denominators cleared (a common positive
+scale leaves the row space unchanged):
 
 * the stabilizer of T is its kernel; for the unit tensor the kernel is the
   diagonal zero-sum algebra of dimension 2n (2n - 2 after dividing out the
@@ -35,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int, rank_int
-from .tensors import Tensor3, build_W, sample_coefficients, unit_tensor
+from .tensors import Tensor3, build_W, integer_entries, sample_coefficients, unit_tensor
 
 #: dimension of the scalar pairs acting trivially on every tensor
 ACTION_KERNEL_DIM = 2
@@ -96,17 +97,17 @@ class LieTriple:
         return LieTriple(self.n, mul(self.x), mul(self.y), mul(self.z))
 
 
-def _action_map(T: Tensor3):
+def _action_map(n, entries):
     """The linear map lt -> act(lt, T) as coordinate index -> {unknown:
-    coefficient}; the only place the Leibniz terms are enumerated.
+    coefficient}, for the tensor T of format n with the given entries
+    {triple: value}; the only place the Leibniz terms are enumerated.
 
     Coordinate (i, j, k) has index (i-1)n^2 + (j-1)n + (k-1); unknowns are
     positions in LieTriple.flat(), so entry (p, q) of x, y, z is unknown
     (p-1)n + (q-1) plus 0, n^2, 2n^2."""
-    n = T.n
     nn = n * n
     amap = {}
-    for (i, j, k), c in T.entries.items():
+    for (i, j, k), c in entries.items():
         i, j, k = i - 1, j - 1, k - 1
         for p in range(n):
             for coord, unk in (
@@ -124,26 +125,23 @@ def _coord_index(n, t):
     return (i - 1) * n * n + (j - 1) * n + (k - 1)
 
 
-def _int_rows(forms, width):
-    """Dense integer rows of sparse rational forms {column: coefficient},
-    each scaled by the lcm of its denominators."""
+def _dense(forms, width):
+    """Dense rows of sparse integer forms {column: coefficient}."""
     rows = []
     for form in forms:
-        den = 1
-        for v in form.values():
-            den = lcm(den, v.denominator)
         row = [0] * width
         for col, v in form.items():
-            row[col] = int(v * den)
+            row[col] = v
         rows.append(row)
     return rows
 
 
 def _coordinate_rows(T: Tensor3):
-    """Rows of lt -> act(lt, T) over the 3n^2 unknowns, one per coordinate
-    that the action can reach, in coordinate order."""
-    amap = _action_map(T)
-    return _int_rows((amap[c] for c in sorted(amap)), 3 * T.n * T.n)
+    """Integer rows of lt -> act(lt, T) over the 3n^2 unknowns, one per
+    coordinate that the action can reach, in coordinate order; T's
+    denominators are cleared first, which keeps the row space."""
+    amap = _action_map(T.n, integer_entries(T))
+    return _dense((amap[c] for c in sorted(amap)), 3 * T.n * T.n)
 
 
 def act(lt: LieTriple, T: Tensor3) -> Tensor3:
@@ -153,7 +151,7 @@ def act(lt: LieTriple, T: Tensor3) -> Tensor3:
     n = lt.n
     flat = lt.flat()
     out = {}
-    for coord, form in _action_map(T).items():
+    for coord, form in _action_map(n, T.entries).items():
         v = sum(flat[unk] * c for unk, c in form.items())
         if v:
             out[(coord // (n * n) + 1, coord // n % n + 1, coord % n + 1)] = v
@@ -192,8 +190,9 @@ def _cone_condition_rows(n):
     free = {_coord_index(n, t) for t in W}
     free.add(origin)
     forms = []
-    for g in [unit_tensor(n)] + [Tensor3(n, {t: Fraction(1)}) for t in W.sorted_triples()]:
-        amap = _action_map(g)
+    unit = {(i, i, i): 1 for i in range(1, n + 1)}
+    for g in [unit] + [{t: 1} for t in W.sorted_triples()]:
+        amap = _action_map(n, g)
         for c in sorted(amap.keys() | rest):
             if c in free:
                 continue
@@ -204,7 +203,7 @@ def _cone_condition_rows(n):
                 form = {unk: v for unk, v in form.items() if v}
             if form:
                 forms.append(form)
-    return _int_rows(forms, 3 * n * n)
+    return _dense(forms, 3 * n * n)
 
 
 def cone_stabilizer_dim(n) -> int:
@@ -317,12 +316,12 @@ def orbit_cone_tangent_dim(n, seed) -> TangentReport:
     for s in (seed, seed + 1, seed + 2):
         T = M + Tensor3(n, sample_coefficients(W, s))
         by_unknown = {}
-        for c, form in _action_map(T).items():
+        for c, form in _action_map(n, integer_entries(T)).items():
             if c in col:
                 for unk, v in form.items():
                     by_unknown.setdefault(unk, {})[col[c]] = v
         forms = [by_unknown[unk] for unk in sorted(by_unknown)] + [unit_form]
-        value = len(W) + rank_int(_int_rows(forms, len(col))) - 1
+        value = len(W) + rank_int(_dense(forms, len(col))) - 1
         attempts.append((s, value))
         best = max(best, value)
         if best == expected:

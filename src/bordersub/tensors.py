@@ -5,6 +5,8 @@ Conventions used everywhere in the package:
 
 * indices are 1-based, triples (i, j, k) live in [n]^3;
 * scalars are exact rationals (fractions.Fraction) -- no floats, ever;
+  ``integer_entries`` clears a tensor's denominators for the integer
+  kernels below the API;
 * tensors are sparse with absent-means-zero, so the support is exactly the
   set of stored triples.
 
@@ -26,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import DimensionMismatchError, InvalidValueError
 
@@ -170,12 +173,24 @@ class Tensor3:
             entries = {}
             for row in obj["entries"]:
                 i, j, k, c = row
-                entries[(json_int(i), json_int(j), json_int(k))] = _parse_fraction(c)
+                t = (json_int(i), json_int(j), json_int(k))
+                if t in entries:
+                    raise InvalidValueError(f"coordinate {t} listed twice in tensor JSON")
+                entries[t] = _parse_fraction(c)
             return cls(json_int(obj["n"]), entries)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, InvalidValueError):
                 raise
             raise InvalidValueError(f"malformed tensor JSON: {exc}") from exc
+
+
+def integer_entries(T: Tensor3) -> dict[Triple, int]:
+    """T's entries times the lcm of their denominators, as ints: the one
+    place a tensor's denominators are cleared.  Ranks, kernels, slice
+    commutation and diagonalizability are blind to a positive common
+    scale, so every kernel below the API works on these."""
+    den = lcm(1, *(c.denominator for c in T.entries.values()))
+    return {t: c.numerator * (den // c.denominator) for t, c in T.entries.items()}
 
 
 @dataclass(frozen=True)

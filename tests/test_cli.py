@@ -253,6 +253,16 @@ def test_nullcone_check_rejects_non_integral_support(tmp_path, capsys):
     assert "1.9 is not a JSON integer" in err
 
 
+def test_tensor_json_rejects_a_coordinate_listed_twice(tmp_path, capsys):
+    # keeping the last value would judge T[1,2,2] = -1, which the file
+    # never settles
+    entries = [[1, 1, 1, "1"], [2, 2, 2, "1"], [1, 2, 2, "1"], [1, 2, 2, "-1"]]
+    tfile = write(tmp_path, "t.json", {"n": 2, "entries": entries})
+    code, out, err = run(capsys, "stab", "dim", "--tensor", tfile)
+    assert (code, out) == (2, "")
+    assert "coordinate (1, 2, 2) listed twice" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, payload",
     [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations, permutations, product
@@ -27,6 +28,11 @@ from bordersub.tensors import W_VARIANTS
 
 EX1 = TorusWeight(3, (5, 0, 2), (0, 1, -3), (-5, -1, 1))
 EX2 = TorusWeight(3, (-2, -1, 0), (3, -2, 0), (-1, 3, 0))
+
+# sha256 of the certificates in test_certificates_on_general_supports_pinned,
+# one repr per line, as computed when the certificate was read off the
+# simplex point through the lcm of its denominators
+GENERAL_CERTIFICATES_DIGEST = "9fe6e627e703f19d8c586112792cb0b570420f85786b9275b7213e40fde1dd73"
 
 
 def named_supports():
@@ -250,3 +256,15 @@ def test_lp_work_pinned(monkeypatch):
         is_maximal_nullcone_support(S)
         counts.append(calls[0])
     assert counts == [12, 12, 12, 12, 13, 4, 9]
+
+
+def test_certificates_on_general_supports_pinned():
+    rng = random.Random(59)
+    certs = []
+    for n in (2, 3, 4, 5):
+        cube = [t for t in product(range(1, n + 1), repeat=3) if not t[0] == t[1] == t[2]]
+        for _ in range(60):
+            S = Support.of(n, rng.sample(cube, rng.randint(1, 3 * n)))
+            certs.append(nullcone_feasible(S).certificate)
+    assert sum(c is not None for c in certs) == 135
+    assert hashlib.sha256("\n".join(map(repr, certs)).encode()).hexdigest() == GENERAL_CERTIFICATES_DIGEST

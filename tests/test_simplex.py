@@ -1,12 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bordersub import build_W, nullcone_feasible
-from bordersub.simplex import feasible_point, phase_one
+from bordersub.simplex import phase_one
 
 # sha256 of the outputs below, one repr per line, as computed by the
 # full-tableau simplex this package used before the dictionary form: the
@@ -19,27 +20,44 @@ def _digest(results):
     return hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
 
 
+def integer_rows(cons):
+    """Each rational row and its rhs times the lcm of their denominators,
+    the integer rows the simplex takes."""
+    out = []
+    for row, b in cons:
+        row = [Fraction(c) for c in row]
+        b = Fraction(b)
+        den = lcm(b.denominator, *(c.denominator for c in row))
+        out.append(([int(c * den) for c in row], int(b * den)))
+    return out
+
+
+def solution(num_vars, cons):
+    """The simplex's solution of the integer system as Fractions, or None
+    when it is infeasible."""
+    point, _ = phase_one(num_vars, cons)
+    if point is None:
+        return None
+    x, den = point
+    return [Fraction(v, den) for v in x]
+
+
 def test_empty_system():
-    assert feasible_point(3, []) == [0, 0, 0]
+    assert phase_one(3, []) == (([0, 0, 0], 1), None)
 
 
 def test_trivially_infeasible():
-    assert feasible_point(2, [([0, 0], 1)]) is None
+    assert solution(2, [([0, 0], 1)]) is None
 
 
 def test_single_constraint():
-    x = feasible_point(2, [([1, -1], 1)])
+    x = solution(2, [([1, -1], 1)])
     assert x[0] - x[1] >= 1
 
 
 def test_opposing_pair_infeasible():
     # a >= 1 and -a >= 0 cannot hold together
-    assert feasible_point(1, [([1], 1), ([-1], 0)]) is None
-
-
-def test_mixed_rational_coefficients():
-    x = feasible_point(2, [([Fraction(1, 3), Fraction(-1, 2)], Fraction(5, 6))])
-    assert Fraction(1, 3) * x[0] - Fraction(1, 2) * x[1] >= Fraction(5, 6)
+    assert solution(1, [([1], 1), ([-1], 0)]) is None
 
 
 def test_planted_feasible_systems():
@@ -54,7 +72,7 @@ def test_planted_feasible_systems():
             value = sum(c * t for c, t in zip(row, target))
             slack = Fraction(rng.randint(0, 4), rng.randint(1, 3))
             cons.append((row, value - slack))
-        x = feasible_point(d, cons)
+        x = solution(d, integer_rows(cons))
         assert x is not None
         for row, b in cons:
             assert sum(c * xi for c, xi in zip(row, x)) >= b
@@ -71,12 +89,12 @@ def test_gordan_infeasible_systems():
         last = [-sum(r[j] for r in rows) for j in range(d)]
         rows.append(last)
         cons = [(row, 1) for row in rows]
-        assert feasible_point(d, cons) is None
+        assert solution(d, cons) is None
 
 
 def test_determinism():
     cons = [([1, 2, -1], 1), ([-1, 0, 1], 0), ([0, 1, 1], 2)]
-    assert feasible_point(3, cons) == feasible_point(3, cons)
+    assert solution(3, cons) == solution(3, cons)
 
 
 def fourier_motzkin_feasible(num_vars, constraints):
@@ -111,7 +129,7 @@ def test_against_fourier_motzkin_oracle():
         d = rng.randint(1, 3)
         m = rng.randint(1, 6)
         cons = [([rng.randint(-2, 2) for _ in range(d)], rng.randint(-2, 2)) for _ in range(m)]
-        simplex_says = feasible_point(d, cons) is not None
+        simplex_says = solution(d, cons) is not None
         fm_says = fourier_motzkin_feasible(d, cons)
         assert simplex_says == fm_says, cons
         if simplex_says:
@@ -136,7 +154,7 @@ def test_same_points_as_full_tableau():
             else:
                 row = [rng.randint(-3, 3) for _ in range(d)]
             cons.append((row, rng.randint(-3, 3)))
-        results.append(feasible_point(d, cons))
+        results.append(solution(d, integer_rows(cons) if rational else cons))
     assert sum(x is None for x in results) == 322
     assert _digest(results) == RANDOM_SYSTEMS_DIGEST
 
@@ -165,22 +183,24 @@ def systems(draw):
 @given(systems())
 def test_phase_one_returns_a_point_or_farkas_multipliers(system):
     d, cons = system
-    x, y = phase_one(d, cons)
-    assert (x is None) != (y is None)
-    if x is not None:
-        assert len(x) == d
+    rows = integer_rows(cons)
+    point, y = phase_one(d, rows)
+    assert (point is None) != (y is None)
+    if point is not None:
+        x, den = point
+        assert len(x) == d and all(type(v) is int for v in x)
+        assert type(den) is int and den > 0
         for row, b in cons:
-            assert sum(c * xi for c, xi in zip(row, x)) >= b
+            assert sum(c * Fraction(xi, den) for c, xi in zip(row, x)) >= b
     else:
         # y >= 0, y^T A = 0 and y^T b > 0: no x can meet every row
         assert len(y) == len(cons) and all(type(v) is int and v >= 0 for v in y)
         for j in range(d):
-            assert sum(v * row[j] for v, (row, _) in zip(y, cons)) == 0
-        assert sum(v * b for v, (_, b) in zip(y, cons)) > 0
-    assert feasible_point(d, cons) == x
+            assert sum(v * row[j] for v, (row, _) in zip(y, rows)) == 0
+        assert sum(v * b for v, (_, b) in zip(y, rows)) > 0
 
 
 def test_farkas_multipliers_on_planted_contradiction():
     # x0 - x1 >= 1, x1 >= 0, -x0 >= 0: the sum of all three rows reads 0 >= 1
-    x, y = phase_one(2, [([1, -1], 1), ([0, 1], 0), ([-1, 0], 0)])
-    assert x is None and y == [y[0]] * 3 and y[0] > 0
+    point, y = phase_one(2, [([1, -1], 1), ([0, 1], 0), ([-1, 0], 0)])
+    assert point is None and y == [y[0]] * 3 and y[0] > 0

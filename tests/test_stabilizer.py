@@ -27,6 +27,9 @@ from bordersub import (
 # kept the W unit vectors: the canonical kernel basis pins the row space
 CONE_BASIS_DIGEST = "f267a3699832d6f4b90b41e223c504560107f0397e522e9a7697d18ce447bc5e"
 TANGENT_ATTEMPTS_DIGEST = "2870d0e1b2eb9c7c964ae20303cd262fd85a629b2e131d6a579c9b4d2651aefc"
+# (stabilizer_dim, stabilizer_basis) of non_integral_tensors(), computed when
+# each action row was scaled to integers by the lcm of its own denominators
+NON_INTEGRAL_STABILIZERS_DIGEST = "3085be222172932dd550349412a2e59a4a4397dd35a9ac30d398ac6ee62a2564"
 
 
 def _digest(results):
@@ -56,6 +59,22 @@ def random_tensor(n, rng):
         t = (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
         entries[t] = Fraction(rng.choice((1, 2, -1, -3)))
     return Tensor3(n, entries)
+
+
+def non_integral_tensors():
+    """Seeded tensors with entries p/q, q <= 5, at n = 2..4, each followed
+    by its multiple by -7/3."""
+    rng = random.Random(53)
+    out = []
+    for n in (2, 3, 4):
+        for _ in range(8):
+            entries = {}
+            for _ in range(rng.randint(1, n * n)):
+                t = (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
+                entries[t] = Fraction(rng.choice((1, 2, 3, -1, -2, -3)), rng.randint(1, 5))
+            T = Tensor3(n, entries)
+            out += [T, T.scale(Fraction(-7, 3))]
+    return out
 
 
 def test_act_scalar_kernel_element():
@@ -203,6 +222,11 @@ def test_cone_basis_and_tangent_attempts_pinned():
     assert _digest([cone_stabilizer_structure(n).basis for n in range(2, 7)]) == CONE_BASIS_DIGEST
     attempts = [orbit_cone_tangent_dim(n, s).attempts for n in range(2, 8) for s in range(3)]
     assert _digest(attempts) == TANGENT_ATTEMPTS_DIGEST
+
+
+def test_non_integral_stabilizers_pinned():
+    results = [(stabilizer_dim(T), stabilizer_basis(T)) for T in non_integral_tensors()]
+    assert _digest(results) == NON_INTEGRAL_STABILIZERS_DIGEST
 
 
 def test_closed_forms_above_n8():
