@@ -440,7 +440,7 @@ def main(argv=None):
     except (InvalidValueError, CapExceededError, PreconditionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except (InternalError, AssertionError) as exc:
+    except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
     except BordersubError as exc:

@@ -92,7 +92,13 @@ def slices_along_b(T: Tensor3) -> SliceFamily:
 
 
 def is_concise(T: Tensor3) -> bool:
-    """All three flattenings to n x n^2 matrices have full rank n."""
+    """All three flattenings to n x n^2 matrices have full rank n.
+
+    A slot in which some index value carries no entry has a zero slice,
+    which caps that flattening's rank below n; that is answered before any
+    matrix is built."""
+    if any(len({t[slot] for t in T.entries}) < T.n for slot in range(3)):
+        return False
     entries = integer_entries(T)
     return all(rank_int([sum(s, []) for s in _slice_matrices(T.n, entries, slot)]) == T.n for slot in range(3))
 

@@ -2,18 +2,24 @@
 pivoting, kept in dictionary form.
 
 Decides whether {x in Q^d : a_r . x >= b_r for all r}, with integer a_r and
-b_r, is nonempty and, when it is, returns one rational solution as integer
-numerators over one positive denominator.  The textbook phase-1 tableau
-splits each free variable as x_j = u_j - v_j, gives each row r a surplus
-sur_r, and starts from a basis of artificials art_r after negating the rows
-with b_r < 0 (sign s_r = -1, else +1); the system is feasible iff the
-artificial objective minimizes to zero.
+integer b_r >= 0, is nonempty and, when it is, returns one rational
+solution as integer numerators over one positive denominator.  A negative
+b_r is refused.  A general system is decided through its homogenisation
+a_r . x - b_r t >= 0, t >= 1 (Schrijver, "Theory of Linear and Integer
+Programming", 1986): it is feasible iff the original is, a solution (x, t)
+gives x / t, and the Farkas multipliers of its first m rows refute the
+original.
+
+The textbook phase-1 tableau splits each free variable as x_j = u_j - v_j,
+gives each row r a surplus sur_r and an artificial art_r, and starts from
+the basis of artificials, which b >= 0 makes feasible; the system is
+feasible iff the artificial objective minimizes to zero.
 
 That tableau has 2d + 2m columns, but every row operation is linear, so the
 relations that hold at the start hold for ever: column v_j = -u_j, column
-art_r = -s_r * sur_r, and the reduced costs z(v_j) = -z(u_j),
-z(art_r) = den - s_r * z(sur_r) (the artificial carries cost 1, scaled by
-the common denominator).  Basic columns are den * e_i and carry no
+art_r = -sur_r, and the reduced costs z(v_j) = -z(u_j),
+z(art_r) = den - z(sur_r) (the artificial carries cost 1, scaled by the
+common denominator).  Basic columns are den * e_i and carry no
 information.  So the u_j/v_j and sur_r/art_r pairs are the real unknowns:
 m of them are basic at any time (never both members of one pair, as their
 columns are parallel) and d are not.  Only the d nonbasic pairs are stored
@@ -23,15 +29,10 @@ other member is derived when Bland's rule looks at it.
 
 Bland's rule (least eligible index, entering and leaving; Bland 1977) still
 runs over the virtual order u, v, sur, art, so the pivot sequence, and
-hence the returned vertex, equals the full tableau's.  Two kinds of pivot
-occur:
-
-* a normal pivot brings in a member of a nonbasic pair; the leaving pair's
-  first-member column takes the entering pair's slot;
-* a partner swap brings in sur_r while art_r is basic, which happens only
-  for s_r = -1 (reduced cost -den).  Its column is +den * e_i, so the
-  pivot changes no row: it adds the pivot row to the reduced costs and its
-  right-hand side to the objective, and relabels the basis entry.
+hence the returned vertex, equals the full tableau's.  Every pivot brings
+in a member of a nonbasic pair, and the leaving pair's first-member column
+takes the entering pair's slot: sur_r never enters while art_r is basic,
+as its reduced cost is then den.
 
 Arithmetic is fraction-free (Edmonds/Bareiss integer pivoting): a pivot on
 entry p rescales every other row by p/den with a cross-multiplication whose
@@ -44,12 +45,11 @@ An infeasible system ends with a positive phase-1 objective, and the final
 dictionary then holds a Farkas certificate: multipliers y >= 0 with
 y^T A = 0 and y^T b > 0, so sum y_r (a_r . x) = 0 < sum y_r b_r shows that
 no x meets every row.  The phase-1 dual w (w_r = 1 - z(art_r)/den) gives
-y_r = s_r * w_r = z(sur_r)/den, since sur_r's column is -s_r e_r at cost 0.
-Scaled by den, y_r is read off the dictionary:
+y_r = w_r = z(sur_r)/den, since sur_r's column is -e_r at cost 0.  Scaled
+by den, y_r is read off the dictionary:
 
 * z(sur_r) when sur_r's pair is nonbasic (the slot's stored reduced cost);
-* den when art_r is basic (only s_r = +1 is left at the end, since a basic
-  art_r with s_r = -1 always lets sur_r in);
+* den when art_r is basic;
 * 0 when sur_r is basic.
 
 Both outcomes are re-checked in exact integers before they are returned:
@@ -59,9 +59,12 @@ y^T b > 0.
 
 from __future__ import annotations
 
+from .errors import InternalError, InvalidValueError
+
 
 def phase_one(num_vars, cons):
-    """Feasibility of {coeffs . x >= rhs} over integer rows (coeffs, rhs).
+    """Feasibility of {coeffs . x >= rhs} over integer rows (coeffs, rhs)
+    with every rhs >= 0; a negative rhs raises InvalidValueError.
 
     Returns ((x, den), None) when feasible, x integer numerators and den > 0
     an integer such that x / den is a solution, or (None, y) with integer
@@ -71,22 +74,15 @@ def phase_one(num_vars, cons):
     if not cons:
         return ([0] * d, 1), None
     m = len(cons)
+    rhs = [b for _, b in cons]
+    if min(rhs) < 0:
+        raise InvalidValueError("right-hand sides must be >= 0; homogenise to a . x - b t >= 0, t >= 1")
     # virtual column indices: u_j = j, v_j = d + j, sur_r = 2d + r,
     # art_r = 2d + m + r; a pair is named by its first member (u_j, sur_r)
     V, SUR, ART = d, 2 * d, 2 * d + m
-    neg = [b < 0 for _, b in cons]
 
-    cols = [[0] * m for _ in range(d)]  # cols[k]: first-member column of slot k
-    rhs = [0] * m
-    for r, (row, b) in enumerate(cons):
-        if b < 0:
-            for j, c in enumerate(row):
-                cols[j][r] = -c
-            rhs[r] = -b
-        else:
-            for j, c in enumerate(row):
-                cols[j][r] = c
-            rhs[r] = b
+    # cols[k]: the first-member column of slot k
+    cols = [list(col) for col in zip(*(row for row, _ in cons))]
     zs = [-sum(col) for col in cols]  # reduced cost of each slot's first member
     pair = list(range(d))  # the pair held in each slot
     basis = [ART + r for r in range(m)]
@@ -99,30 +95,15 @@ def phase_one(num_vars, cons):
             p, zk = pair[k], zs[k]
             if zk < 0:  # u_j or sur_r
                 e, ze, sign = p, zk, 1
-            elif p < V:  # v_j = -u_j
-                if zk == 0:
-                    continue
-                e, ze, sign = V + p, -zk, -1
-            else:  # art_r = -s_r * sur_r
-                ze = den + zk if neg[p - SUR] else den - zk
+            else:  # v_j = -u_j, or art_r = -sur_r at cost den
+                ze = (den if p >= SUR else 0) - zk
                 if ze >= 0:
                     continue
-                e, sign = p + m, 1 if neg[p - SUR] else -1
+                e, sign = p + (m if p >= SUR else d), -1
             if enter is None or e < enter:
                 enter, slot, zf, esign = e, k, ze, sign
-        if enter is None or enter > SUR:
-            # sur_r with art_r basic and s_r = -1 has reduced cost -den
-            for i, var in enumerate(basis):
-                if var >= ART and neg[var - ART] and (enter is None or var - m < enter):
-                    enter, slot, leave = var - m, None, i
         if enter is None:
             break
-
-        if slot is None:  # partner swap
-            zs = [zk + col[leave] for zk, col in zip(zs, cols)]
-            obj += rhs[leave]
-            basis[leave] = enter
-            continue
 
         col = cols[slot]
         ecol = col if esign > 0 else [-c for c in col]
@@ -139,7 +120,7 @@ def phase_one(num_vars, cons):
                         leave = i
         if leave is None:
             # the phase-1 objective is bounded below by zero
-            raise AssertionError("phase-1 simplex unbounded")
+            raise InternalError("phase-1 simplex unbounded")
         piv = ecol[leave]
         for k in range(d):
             if k == slot:
@@ -161,16 +142,11 @@ def phase_one(num_vars, cons):
         # the leaving column becomes -ecol off the pivot row and den on it;
         # tau maps it to its pair's first member
         out = basis[leave]
-        zold = 0
-        if out < V or SUR <= out < ART:
-            tau = 1
-        elif out < SUR:
+        tau, zold = 1, 0
+        if out >= ART:  # sur_r = -art_r, and z(sur_r) was den; times piv/den
+            tau, zold, out = -1, piv, out - m
+        elif V <= out < SUR:  # u_j = -v_j
             tau, out = -1, out - d
-        else:
-            r = out - ART
-            tau = 1 if neg[r] else -1  # sur_r = -s_r * art_r
-            zold = -piv if neg[r] else piv  # z(sur_r) was s_r * den; times piv/den
-            out = SUR + r
         c = [-f for f in ecol] if tau > 0 else list(ecol)
         c[leave] = tau * den
         cols[slot] = c
@@ -186,14 +162,14 @@ def phase_one(num_vars, cons):
                 y[pair[k] - SUR] = zs[k]
         for var in basis:
             if var >= ART:
-                y[var - ART] = -den if neg[var - ART] else den
+                y[var - ART] = den
         if any(v < 0 for v in y):
-            raise AssertionError("simplex returned negative Farkas multipliers")
+            raise InternalError("simplex returned negative Farkas multipliers")
         for j in range(d):
             if sum(v * row[j] for v, (row, _) in zip(y, cons) if v):
-                raise AssertionError("Farkas multipliers do not cancel the rows")
+                raise InternalError("Farkas multipliers do not cancel the rows")
         if sum(v * b for v, (_, b) in zip(y, cons)) <= 0:
-            raise AssertionError("Farkas multipliers give no contradiction")
+            raise InternalError("Farkas multipliers give no contradiction")
         return None, y
     x = [0] * d
     for i, var in enumerate(basis):
@@ -203,5 +179,5 @@ def phase_one(num_vars, cons):
             x[var - d] -= rhs[i]
     for row, b in cons:
         if sum(c * xi for c, xi in zip(row, x)) < b * den:
-            raise AssertionError("simplex returned an infeasible point")
+            raise InternalError("simplex returned an infeasible point")
     return (x, den), None

@@ -72,11 +72,8 @@ class LieTriple:
         """Inverse of flat(): vec lists x, y, z row-major."""
         if len(vec) != 3 * n * n:
             raise InvalidValueError("flat vector must have length 3n^2")
-        mats = []
-        for s in range(3):
-            block = vec[s * n * n : (s + 1) * n * n]
-            mats.append(tuple(tuple(Fraction(block[r * n + c]) for c in range(n)) for r in range(n)))
-        return cls(n, *mats)
+        rows = [vec[i : i + n] for i in range(0, 3 * n * n, n)]
+        return cls(n, rows[:n], rows[n : 2 * n], rows[2 * n :])
 
     def flat(self):
         out = []
@@ -210,11 +207,7 @@ def cone_stabilizer_dim(n) -> int:
     """Faithful-quotient dimension (3n^2 + n - 2)/2 of the algebra
     preserving the cone over the unit tensor and W; the gl^3-level kernel
     is two bigger."""
-    return _cone_stabilizer_full_dim(n) - ACTION_KERNEL_DIM
-
-
-def _cone_stabilizer_full_dim(n):
-    return 3 * n * n - rank_int(_cone_condition_rows(n))
+    return 3 * n * n - rank_int(_cone_condition_rows(n)) - ACTION_KERNEL_DIM
 
 
 @dataclass(frozen=True)
@@ -246,23 +239,25 @@ class StructureReport:
 def cone_stabilizer_structure(n) -> StructureReport:
     """Canonical basis of the cone stabilizer plus the structural checks:
     x lower-triangular, y and z upper-triangular, and the diagonal sums
-    x_ss + y_ss + z_ss constant across s for every basis element."""
-    rows = _cone_condition_rows(n)
-    vecs = kernel_int(rows, 3 * n * n)
+    x_ss + y_ss + z_ss constant across s for every basis element, read off
+    the integer kernel vectors (x, y, z row-major, as in LieTriple.flat)."""
+    nn = n * n
+    vecs = kernel_int(_cone_condition_rows(n), 3 * nn)
     basis = tuple(LieTriple.from_flat(n, v) for v in vecs)
     violations = []
-    for b_idx, lt in enumerate(basis):
+    triangular_ok = trace_ok = True
+    for b_idx, v in enumerate(vecs):
         for p in range(n):
             for q in range(n):
-                if q > p and lt.x[p][q]:
+                if q > p and v[p * n + q]:
                     violations.append(f"basis[{b_idx}]: x[{p+1}][{q+1}] nonzero above diagonal")
-                if q < p and (lt.y[p][q] or lt.z[p][q]):
+                    triangular_ok = False
+                if q < p and (v[nn + p * n + q] or v[2 * nn + p * n + q]):
                     violations.append(f"basis[{b_idx}]: y/z[{p+1}][{q+1}] nonzero below diagonal")
-        sums = {lt.x[s][s] + lt.y[s][s] + lt.z[s][s] for s in range(n)}
-        if len(sums) > 1:
+                    triangular_ok = False
+        if len({v[d] + v[nn + d] + v[2 * nn + d] for d in range(0, nn, n + 1)}) > 1:
             violations.append(f"basis[{b_idx}]: diagonal sums not constant")
-    triangular_ok = not any("above" in v or "below" in v for v in violations)
-    trace_ok = not any("sums" in v for v in violations)
+            trace_ok = False
     return StructureReport(
         n=n,
         dim_full=len(basis),

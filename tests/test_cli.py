@@ -1,10 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
-from bordersub import Support, Tensor3, build_W, unit_tensor
+from bordersub import Support, Tensor3, build_W, nullcone, unit_tensor
 from bordersub.cli import main
 from bordersub.tensors import dumps_json
+
+# sha256 of repr((exit code, stdout, stderr)) of `reproduce --n-max 3`, as
+# printed before the simplex was narrowed to right-hand sides >= 0
+REPRODUCE_N3_DIGEST = "bd41cae96490509370b482859e237d8d3c8b4943301cd382e7287b378cdce1d2"
 
 
 def run(capsys, *argv):
@@ -288,6 +293,21 @@ def test_reproduce_n1(capsys):
     rep = json.loads(out)
     assert rep["outputs"]["all_ok"] is True
     assert "PASS" in err
+
+
+def test_reproduce_n3_pinned(capsys):
+    code, out, err = run(capsys, "reproduce", "--n-max", "3")
+    assert code == 0 and err.count("PASS") == 56
+    assert hashlib.sha256(repr((code, out, err)).encode()).hexdigest() == REPRODUCE_N3_DIGEST
+
+
+def test_failed_recheck_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the zero point meets no row weight >= 1, so the certificate re-check fails
+    monkeypatch.setattr(nullcone, "phase_one", lambda num_vars, cons: (([0] * num_vars, 1), None))
+    wfile = write(tmp_path, "w.json", build_W(3, "W").to_json())
+    code, out, err = run(capsys, "nullcone", "check", "--support", wfile)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ")
 
 
 def test_report_determinism(tmp_path, capsys):

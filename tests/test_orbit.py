@@ -176,6 +176,19 @@ def test_conciseness():
     assert is_concise(W_STATE)
 
 
+def test_conciseness_reads_missing_index_values_before_building_slices(monkeypatch):
+    def no_slices(*args):
+        raise AssertionError("slice matrices built")
+
+    monkeypatch.setattr(orbit, "_slice_matrices", no_slices)
+    assert not is_concise(Tensor3(200, {}))
+    # slots A and B see 1, 2, 3; slot C never sees 3
+    T = Tensor3(3, {(1, 1, 1): Fraction(1), (2, 2, 2): Fraction(1), (3, 3, 1): Fraction(1)})
+    assert not is_concise(T)
+    v = unit_orbit_member(T, seed=0)
+    assert (v.verdict, v.reason) == ("non_member", "not concise: some flattening has rank < n")
+
+
 def test_conciseness_unit_plus_perturbation():
     T = unit_tensor(3) + Tensor3(3, {(2, 1, 1): Fraction(2), (3, 1, 2): Fraction(-1)})
     assert is_concise(T)

@@ -3,16 +3,19 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bordersub import build_W, nullcone_feasible
+from bordersub import InvalidValueError, build_W, nullcone_feasible
 from bordersub.simplex import phase_one
 
-# sha256 of the outputs below, one repr per line, as computed by the
-# full-tableau simplex this package used before the dictionary form: the
-# pivot rule must still visit the same vertices and return the same point
-RANDOM_SYSTEMS_DIGEST = "04998ff42fad6ecc60115066969f3c409205633c9d3b679e383522462aa6378e"
+# sha256 of the outputs below, one repr per line.  The random systems were
+# digested over their homogenisations by the simplex that still took
+# negative right-hand sides (its pivots matched the full tableau's); the W
+# certificates by the full-tableau simplex itself: the pivot rule must
+# still visit the same vertices and return the same point
+RANDOM_SYSTEMS_DIGEST = "e4ab2b022b0d0b08267edfb43dac59a44672ae31b15569ddc61920d8089afb1b"
 W_CERTIFICATES_DIGEST = "eb34591e3b9f2a0e90f10d07a426347fc4f53eafadacdab55572172158ce032f"
 
 
@@ -32,9 +35,17 @@ def integer_rows(cons):
     return out
 
 
+def homogenised(num_vars, cons):
+    """The integer rows (a, -b) >= 0 and t >= 1 over (x, t), for rational
+    rows (a, b) of any sign: a solution (x, t) gives the solution x / t of
+    {a . x >= b}, and Farkas multipliers on the first rows refute it."""
+    rows = [(row + [-b], 0) for row, b in integer_rows(cons)]
+    return rows + [([0] * num_vars + [1], 1)]
+
+
 def solution(num_vars, cons):
-    """The simplex's solution of the integer system as Fractions, or None
-    when it is infeasible."""
+    """The simplex's solution of the integer system, whose right-hand
+    sides are >= 0, as Fractions, or None when it is infeasible."""
     point, _ = phase_one(num_vars, cons)
     if point is None:
         return None
@@ -42,8 +53,23 @@ def solution(num_vars, cons):
     return [Fraction(v, den) for v in x]
 
 
+def general_solution(num_vars, cons):
+    """A solution of the rational system {a . x >= b} as Fractions, found
+    through its homogenisation, or None when it is infeasible."""
+    point = solution(num_vars + 1, homogenised(num_vars, cons))
+    if point is None:
+        return None
+    *x, t = point
+    return [v / t for v in x]
+
+
 def test_empty_system():
     assert phase_one(3, []) == (([0, 0, 0], 1), None)
+
+
+def test_negative_right_hand_side_is_refused():
+    with pytest.raises(InvalidValueError):
+        phase_one(2, [([1, 0], 1), ([0, 1], -1)])
 
 
 def test_trivially_infeasible():
@@ -72,7 +98,7 @@ def test_planted_feasible_systems():
             value = sum(c * t for c, t in zip(row, target))
             slack = Fraction(rng.randint(0, 4), rng.randint(1, 3))
             cons.append((row, value - slack))
-        x = solution(d, integer_rows(cons))
+        x = general_solution(d, cons)
         assert x is not None
         for row, b in cons:
             assert sum(c * xi for c, xi in zip(row, x)) >= b
@@ -129,7 +155,7 @@ def test_against_fourier_motzkin_oracle():
         d = rng.randint(1, 3)
         m = rng.randint(1, 6)
         cons = [([rng.randint(-2, 2) for _ in range(d)], rng.randint(-2, 2)) for _ in range(m)]
-        simplex_says = solution(d, cons) is not None
+        simplex_says = general_solution(d, cons) is not None
         fm_says = fourier_motzkin_feasible(d, cons)
         assert simplex_says == fm_says, cons
         if simplex_says:
@@ -154,7 +180,7 @@ def test_same_points_as_full_tableau():
             else:
                 row = [rng.randint(-3, 3) for _ in range(d)]
             cons.append((row, rng.randint(-3, 3)))
-        results.append(solution(d, integer_rows(cons) if rational else cons))
+        results.append(general_solution(d, cons))
     assert sum(x is None for x in results) == 322
     assert _digest(results) == RANDOM_SYSTEMS_DIGEST
 
@@ -184,17 +210,18 @@ def systems(draw):
 def test_phase_one_returns_a_point_or_farkas_multipliers(system):
     d, cons = system
     rows = integer_rows(cons)
-    point, y = phase_one(d, rows)
+    point, y = phase_one(d + 1, homogenised(d, cons))
     assert (point is None) != (y is None)
     if point is not None:
         x, den = point
-        assert len(x) == d and all(type(v) is int for v in x)
-        assert type(den) is int and den > 0
+        assert len(x) == d + 1 and all(type(v) is int for v in x)
+        assert type(den) is int and den > 0 and x[d] >= den
         for row, b in cons:
-            assert sum(c * Fraction(xi, den) for c, xi in zip(row, x)) >= b
+            assert sum(c * Fraction(xi, x[d]) for c, xi in zip(row, x)) >= b
     else:
-        # y >= 0, y^T A = 0 and y^T b > 0: no x can meet every row
-        assert len(y) == len(cons) and all(type(v) is int and v >= 0 for v in y)
+        # y >= 0, and on the original rows y^T A = 0 and y^T b > 0: no x
+        # can meet every row
+        assert len(y) == len(cons) + 1 and all(type(v) is int and v >= 0 for v in y)
         for j in range(d):
             assert sum(v * row[j] for v, (row, _) in zip(y, rows)) == 0
         assert sum(v * b for v, (_, b) in zip(y, rows)) > 0

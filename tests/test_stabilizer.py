@@ -218,6 +218,28 @@ def test_tangent_retries_on_degenerate_sample(monkeypatch):
     assert [s for s, _ in rep.attempts] == [0, 1]
 
 
+def test_cone_structure_reports_planted_violations(monkeypatch):
+    # n = 2 vectors over (x, y, z) row-major: a clean one, one with a
+    # non-constant diagonal sum only, and one with x[1][2] and z[2][1] set
+    import bordersub.stabilizer as st
+
+    clean = [1, 0, 0, 1] + [0] * 8
+    trace = [2, 0, 0, 1] + [0] * 8
+    shape = [0, 1, 0, 0] + [0] * 4 + [0, 0, 1, 0]
+    monkeypatch.setattr(st, "kernel_int", lambda rows, width: [clean, trace])
+    rep = st.cone_stabilizer_structure(2)
+    assert rep.violations == ("basis[1]: diagonal sums not constant",)
+    assert (rep.triangular_ok, rep.trace_ok, rep.passes) == (True, False, False)
+    monkeypatch.setattr(st, "kernel_int", lambda rows, width: [shape, clean])
+    rep = st.cone_stabilizer_structure(2)
+    assert rep.violations == (
+        "basis[0]: x[1][2] nonzero above diagonal",
+        "basis[0]: y/z[2][1] nonzero below diagonal",
+    )
+    assert (rep.triangular_ok, rep.trace_ok, rep.passes) == (False, True, False)
+    assert rep.basis[0].z[1][0] == 1 and rep.dim_full == 2
+
+
 def test_cone_basis_and_tangent_attempts_pinned():
     assert _digest([cone_stabilizer_structure(n).basis for n in range(2, 7)]) == CONE_BASIS_DIGEST
     attempts = [orbit_cone_tangent_dim(n, s).attempts for n in range(2, 8) for s in range(3)]
