@@ -11,6 +11,10 @@ from bordersub.tensors import dumps_json
 # printed before the simplex was narrowed to right-hand sides >= 0
 REPRODUCE_N3_DIGEST = "bd41cae96490509370b482859e237d8d3c8b4943301cd382e7287b378cdce1d2"
 
+# sha256 of the stdout of `nullcone components --n 3`, as printed by the
+# search that visits every member of each symmetry orbit
+COMPONENTS_N3_STDOUT_DIGEST = "b5aa768c0f282c25302c496f28be6bb4477e591651b94a8e3a1398133d38bd68"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -71,6 +75,12 @@ def test_nullcone_components_n2(tmp_path, capsys):
     report = json.loads(out)
     assert report["outputs"]["complete"] is True
     assert len(report["outputs"]["components"]) == 6
+
+
+def test_nullcone_components_n3_pinned(capsys):
+    code, out, _ = run(capsys, "nullcone", "components", "--n", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPONENTS_N3_STDOUT_DIGEST
 
 
 def test_nullcone_components_cap_refusal(capsys):

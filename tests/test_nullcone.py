@@ -34,6 +34,13 @@ EX2 = TorusWeight(3, (-2, -1, 0), (3, -2, 0), (-1, 3, 0))
 # simplex point through the lcm of its denominators
 GENERAL_CERTIFICATES_DIGEST = "9fe6e627e703f19d8c586112792cb0b570420f85786b9275b7213e40fde1dd73"
 
+# sha256 of json.dumps(enumerate_maximal_components(n).to_json()), as computed
+# by the search that visits every member of each symmetry orbit
+COMPONENTS_DIGESTS = {
+    2: "76b071582ca3cbb661062f5e120b1e2f4f660fbfbe72e90ff982e7db5c93e163",
+    3: "7c5a877e96f2a6d7dc314fc4869e8dd9f6b17026bdb1b2c9f69a597cc7db7500",
+}
+
 
 def named_supports():
     out = [build_W(3, v) for v in W_VARIANTS]
@@ -162,6 +169,12 @@ def test_enumeration_is_deterministic():
     a = enumerate_maximal_components(2)
     b = enumerate_maximal_components(2)
     assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+
+def test_component_lists_pinned(components_n3):
+    for enum in (enumerate_maximal_components(2), components_n3):
+        digest = hashlib.sha256(json.dumps(enum.to_json()).encode()).hexdigest()
+        assert digest == COMPONENTS_DIGESTS[enum.n]
 
 
 def test_enumeration_n2_closed_under_permutations():
