@@ -46,7 +46,16 @@ reused rests on a certificate checked in exact integers:
   maps along, so a recorded component is recorded with its whole orbit,
   each image with its transformed certificate, re-checked to be >= 1 on
   the image and <= 0 off it.  Found components then answer feasibility
-  (ins within M, outs outside M) and prune by domination sooner.
+  (ins within M, outs outside M) and prune by domination sooner;
+* orbit-representative pruning: order supports by their in/out vectors
+  over the triple order, "in" above "out", so the leader (largest member)
+  of an orbit is the member the in-first search meets first.  Compare a
+  node's vector with its image under a symmetry g, position by position,
+  up to the first position undecided on either side.  If the first
+  difference has "in" in the image and "out" in the node, g maps every
+  completion of the node to a larger set, so none is a leader and the
+  node is cut.  Every leader is still reached, and recording it adds its
+  whole orbit.
 """
 
 from __future__ import annotations
@@ -180,28 +189,61 @@ def is_maximal_nullcone_support(S: Support):
     return len(extendable) == 0, extendable
 
 
+def _group(n):
+    """S_n x S_3 as (sigma, pi) pairs, the identity first."""
+    return [(sigma, pi) for sigma in permutations(range(n)) for pi in permutations(range(3))]
+
+
+def _act(sigma, pi, t):
+    """The image of (t_1, t_2, t_3): sigma(t_p) in slot pi(p)."""
+    u = [0, 0, 0]
+    for p in range(3):
+        u[pi[p]] = sigma[t[p] - 1] + 1
+    return tuple(u)
+
+
+def _position_maps(n, universe):
+    """For every g in S_n x S_3 but the identity, the position of g(t) for
+    each position t of universe; the group holds each inverse, so these
+    are also the maps t -> g^-1(t)."""
+    index = {t: a for a, t in enumerate(universe)}
+    return [[index[_act(sigma, pi, t)] for t in universe] for sigma, pi in _group(n)[1:]]
+
+
+def _not_leader(state, maps):
+    """True when some map sends every completion of state (True for in,
+    False for out, None for undecided) to a larger in/out vector, "in"
+    above "out": up to the first position undecided on either side, the
+    first difference has "in" in the image and "out" in state."""
+    for m in maps:
+        for a, s in zip(state, m):
+            b = state[s]
+            if a is None or b is None:
+                break
+            if a != b:
+                if b:
+                    return True
+                break
+    return False
+
+
 def _symmetric_images(n, triples, cert):
     """(image support, image certificate) under each diagonal relabelling
     sigma of [n] combined with each permutation pi of the three slots.
 
-    The image of (t_1, t_2, t_3) puts sigma(t_p) in slot pi(p); the image
-    certificate puts entry i of component p at entry sigma(i) of component
-    pi(p).  Both changes cancel in the weight, and the zero column sums
-    survive, so the image certificate certifies the image support."""
+    The image certificate puts entry i of component p at entry sigma(i) of
+    component pi(p).  This and the move of each triple cancel in the
+    weight, and the zero column sums survive, so the image certificate
+    certifies the image support."""
     comps = (cert.lam, cert.mu, cert.nu)
-    for sigma in permutations(range(n)):
-        for pi in permutations(range(3)):
-            image = []
-            for t in triples:
-                u = [0, 0, 0]
-                for p in range(3):
-                    u[pi[p]] = sigma[t[p] - 1] + 1
-                image.append(tuple(u))
-            moved = [[0] * n for _ in range(3)]
-            for p in range(3):
-                for i in range(n):
-                    moved[pi[p]][sigma[i]] = comps[p][i]
-            yield frozenset(image), TorusWeight(n, *moved)
+    for sigma, pi in _group(n):
+        moved = [[0] * n for _ in range(3)]
+        for p in range(3):
+            for i in range(n):
+                moved[pi[p]][sigma[i]] = comps[p][i]
+        yield frozenset(_act(sigma, pi, t) for t in triples), TorusWeight(n, *moved)
+
+
 @dataclass(frozen=True)
 class ComponentEnumeration:
     n: int
@@ -221,6 +263,8 @@ def _enumerate(n, universe):
     found = {}  # sorted triples -> (support, verified certificate)
     in_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in I
     out_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in O
+
+    maps = _position_maps(n, universe)
 
     def positive(cert):
         return frozenset(t for t in universe if weight_of(cert, t) >= 1)
@@ -286,6 +330,8 @@ def _enumerate(n, universe):
                 changed = True
         pool = ins | frozenset(undecided)
         if any(pool <= M for M, _ in found.values()):
+            return
+        if _not_leader([True if t in ins else False if t in outs else None for t in universe], maps):
             return
         if not undecided:
             empty = frozenset()

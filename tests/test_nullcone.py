@@ -196,14 +196,28 @@ def _slot_permuted(pi, triples):
     return out
 
 
+def _orbit(triples):
+    """The images of an n = 3 support under relabellings and slot permutations."""
+    S = Support.of(3, triples)
+    out = set()
+    for sigma in Permutation.all(3):
+        relabelled = apply_permutation(sigma, S).sorted_triples()
+        for pi in permutations(range(3)):
+            out.add(frozenset(_slot_permuted(pi, relabelled)))
+    return out
+
+
 def test_enumeration_n3_closed_under_permutations(components_n3):
-    # the full group: 6 diagonal relabellings times 6 slot permutations
-    comps = {tuple(s.sorted_triples()) for s in components_n3.components}
-    for s in components_n3.components:
-        for sigma in Permutation.all(3):
-            relabelled = apply_permutation(sigma, s).sorted_triples()
-            for pi in permutations(range(3)):
-                assert tuple(sorted(_slot_permuted(pi, relabelled))) in comps
+    # the full group: 6 diagonal relabellings times 6 slot permutations;
+    # the 126 components are four whole orbits
+    comps = {frozenset(s.triples) for s in components_n3.components}
+    sizes = []
+    while comps:
+        orbit = _orbit(next(iter(comps)))
+        assert orbit <= comps
+        comps -= orbit
+        sizes.append(len(orbit))
+    assert sorted(sizes) == [18, 36, 36, 36]
 
 
 def test_enumeration_n3_components_all_feasible(components_n3):
@@ -211,6 +225,57 @@ def test_enumeration_n3_components_all_feasible(components_n3):
 
 
 CUBE3 = [t for t in product((1, 2, 3), repeat=3) if not t[0] == t[1] == t[2]]
+
+
+def test_search_reaches_only_lex_leaders(monkeypatch):
+    # the DFS reaches one member of each orbit, the one whose in/out vector
+    # over CUBE3 order ("in" above "out") is largest, and records the rest
+    # of its orbit from there
+    reached = []
+    real = nullcone._symmetric_images
+
+    def spy(n, triples, cert):
+        reached.append(frozenset(triples))
+        return real(n, triples, cert)
+
+    monkeypatch.setattr(nullcone, "_symmetric_images", spy)
+    enumerate_maximal_components(3)
+    assert len(reached) == 4
+    for S in reached:
+        leader = max(_orbit(S), key=lambda T: tuple(t in T for t in CUBE3))
+        assert S == leader
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.booleans(), min_size=24, max_size=24), st.sets(st.integers(0, 23), max_size=6))
+def test_a_cut_node_has_no_leader_completion(decided, undecided):
+    # brute force over the completions: the search may cut a node only when
+    # none of them is the largest vector of its orbit
+    maps = nullcone._position_maps(3, CUBE3)
+    state = [None if a in undecided else v for a, v in enumerate(decided)]
+    if not nullcone._not_leader(state, maps):
+        return
+    for values in product((True, False), repeat=len(undecided)):
+        X = list(state)
+        for a, v in zip(sorted(undecided), values):
+            X[a] = v
+        assert any([X[s] for s in m] > X for m in maps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda p: abs(p[0] + p[1]) <= 6),
+    min_size=3, max_size=3,
+))
+def test_every_positive_support_lies_in_a_component(components_n3, columns):
+    # independent of the search: any cocharacter's positive support (never
+    # diagonal, since diagonal weights vanish) is feasible, so some maximal
+    # component contains it
+    lam, mu = zip(*columns)
+    cochar = TorusWeight(3, lam, mu, [-a - b for a, b in columns])
+    P = positive_support(cochar).triples
+    assert all(t in CUBE3 for t in P)
+    assert any(P <= s.triples for s in components_n3.components)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -251,7 +316,8 @@ def test_farkas_core_is_infeasible_and_inside_the_system(triples, rng):
 def test_lp_work_pinned(monkeypatch):
     # certificate reuse answers most questions without an LP; solving each
     # one took 7,544 phase-1 solves for the n = 3 enumeration, and
-    # [12, 12, 12, 12, 13, 6, 25] for these maximality checks
+    # [12, 12, 12, 12, 13, 6, 25] for these maximality checks; searching
+    # every member of each orbit, not just lex-leaders, took 711
     calls = [0]
     real = nullcone.phase_one
 
@@ -262,7 +328,7 @@ def test_lp_work_pinned(monkeypatch):
     monkeypatch.setattr(nullcone, "phase_one", counted)
     enum = enumerate_maximal_components(3)
     assert len(enum.components) == 126
-    assert calls[0] == 711
+    assert calls[0] == 248
     counts = []
     for S in named_supports() + [Support.of(2, [(2, 1, 1)]), Support.of(3, [])]:
         calls[0] = 0
