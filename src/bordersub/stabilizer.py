@@ -20,7 +20,12 @@ scale leaves the row space unchanged):
   no diagonal triple, so <unit, W> is the set of tensors v with v_c = 0
   for every coordinate c outside W + diag and v_(1,1,1) = ... = v_(n,n,n):
   each generator contributes its image at those coordinates and its image
-  at (i,i,i) minus its image at (1,1,1);
+  at (i,i,i) minus its image at (1,1,1).  Solved by its structure, the
+  condition is the triangular shape (the 3n(n-1)/2 entries of x above the
+  diagonal and of y and z below it vanish, each forced by a one-term form)
+  plus n - 1 trace rows on the 3n diagonal entries, so the gl^3-level
+  kernel has dimension 3n^2 - 3n(n-1)/2 - (n-1) and the quotient
+  (3n^2 + n - 2)/2;
 * tangent-space ranks at a sampled point unit + w, w generic in W, recover
   the dimension count (dim G) - (dim G_cone) + (dim cone) of the orbit of
   the cone, whose closed form is (2n^3 + 3n^2 - 2n - 3)/3.  The tangent
@@ -56,8 +61,16 @@ class LieTriple:
     z: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        # one Fraction per distinct entry: kernel vectors repeat few values
+        shared = {}
         for name in ("x", "y", "z"):
-            mat = tuple(tuple(Fraction(v) for v in row) for row in getattr(self, name))
+            mat = tuple(
+                tuple(
+                    v if type(v) is Fraction else shared[v] if v in shared else shared.setdefault(v, Fraction(v))
+                    for v in row
+                )
+                for row in getattr(self, name)
+            )
             if len(mat) != self.n or any(len(row) != self.n for row in mat):
                 raise InvalidValueError(f"{name} must be {self.n} x {self.n}")
             object.__setattr__(self, name, mat)
@@ -174,40 +187,74 @@ def orbit_dim_unit(n) -> int:
     return rank_int(_coordinate_rows(unit_tensor(n)))
 
 
-def _cone_condition_rows(n):
-    """Integer rows over the 3n^2 unknowns expressing: act(lt, g) lies in
-    <unit, W> for every generator g (the unit tensor and e_w, w in W).
+def _cone_condition(n):
+    """The condition "act(lt, g) lies in <unit, W> for every generator g
+    (the unit tensor and e_w, w in W)" over the 3n^2 unknowns, split by its
+    structure into (zero, cols, rows).
 
-    For each g, in coordinate order: the image at every coordinate outside
-    W + diag, and the image at (i,i,i) minus the image at (1,1,1) for
-    i >= 2; all-zero rows are dropped."""
+    Each generator contributes the forms of its image at every coordinate
+    outside W + diag and of its image at (i,i,i) minus its image at
+    (1,1,1), i >= 2.  A one-term form forces its unknown to 0; ``zero``
+    lists those unknowns.  The other forms, with the ``zero`` unknowns
+    dropped and duplicates removed, are the integer ``rows``, dense over
+    the sorted unknowns ``cols`` that they touch.  The full system's row
+    space is span{e_u : u in zero} + rowspace(rows) on disjoint columns."""
     W = build_W(n, "W")
     origin = _coord_index(n, (1, 1, 1))
-    rest = {_coord_index(n, (i, i, i)) for i in range(2, n + 1)}
-    free = {_coord_index(n, t) for t in W}
-    free.add(origin)
-    forms = []
+    rest = [_coord_index(n, (i, i, i)) for i in range(2, n + 1)]
+    skip = {_coord_index(n, t) for t in W} | {origin} | set(rest)
+    zero, multi = set(), []
     unit = {(i, i, i): 1 for i in range(1, n + 1)}
     for g in [unit] + [{t: 1} for t in W.sorted_triples()]:
         amap = _action_map(n, g)
-        for c in sorted(amap.keys() | rest):
-            if c in free:
-                continue
-            form = dict(amap.get(c, {}))
-            if c in rest:
-                for unk, v in amap.get(origin, {}).items():
+        at_origin = amap.get(origin, {})
+        forms = [form for c, form in amap.items() if c not in skip]
+        for c in rest:
+            if at_origin or c in amap:
+                form = dict(amap.get(c, {}))
+                for unk, v in at_origin.items():
                     form[unk] = form.get(unk, 0) - v
-                form = {unk: v for unk, v in form.items() if v}
-            if form:
-                forms.append(form)
-    return _dense(forms, 3 * n * n)
+                forms.append({unk: v for unk, v in form.items() if v})
+        for form in forms:
+            if len(form) == 1:
+                zero.update(form)
+            elif form:
+                multi.append(form)
+    kept = {tuple(sorted((unk, v) for unk, v in form.items() if unk not in zero)) for form in multi}
+    kept.discard(())
+    cols = sorted({unk for form in kept for unk, _ in form})
+    pos = {unk: i for i, unk in enumerate(cols)}
+    rows = _dense(({pos[unk]: v for unk, v in form} for form in sorted(kept)), len(cols))
+    return sorted(zero), cols, rows
 
 
 def cone_stabilizer_dim(n) -> int:
     """Faithful-quotient dimension (3n^2 + n - 2)/2 of the algebra
     preserving the cone over the unit tensor and W; the gl^3-level kernel
     is two bigger."""
-    return 3 * n * n - rank_int(_cone_condition_rows(n)) - ACTION_KERNEL_DIM
+    zero, _, rows = _cone_condition(n)
+    return 3 * n * n - len(zero) - rank_int(rows) - ACTION_KERNEL_DIM
+
+
+def _cone_kernel(n):
+    """The canonical kernel basis of the cone condition, equal to kernel_int
+    of the full system over the 3n^2 unknowns: that system's RREF is the
+    unit rows of ``zero`` beside the RREF of ``rows``.  Every unknown in
+    neither part is free and gives e_u; the kernel of ``rows``, embedded at
+    ``cols``, gives the rest.  Each vector's free column is its last nonzero
+    entry, and the basis is in free-column order."""
+    zero, cols, rows = _cone_condition(n)
+    width = 3 * n * n
+    by_free = {}
+    for u in set(range(width)).difference(zero, cols):
+        by_free[u] = [0] * width
+        by_free[u][u] = 1
+    for part in kernel_int(rows, len(cols)):
+        vec = [0] * width
+        for c, v in zip(cols, part):
+            vec[c] = v
+        by_free[max(c for c, v in zip(cols, part) if v)] = vec
+    return [by_free[f] for f in sorted(by_free)]
 
 
 @dataclass(frozen=True)
@@ -242,7 +289,7 @@ def cone_stabilizer_structure(n) -> StructureReport:
     x_ss + y_ss + z_ss constant across s for every basis element, read off
     the integer kernel vectors (x, y, z row-major, as in LieTriple.flat)."""
     nn = n * n
-    vecs = kernel_int(_cone_condition_rows(n), 3 * nn)
+    vecs = _cone_kernel(n)
     basis = tuple(LieTriple.from_flat(n, v) for v in vecs)
     violations = []
     triangular_ok = trace_ok = True

@@ -226,11 +226,11 @@ def test_cone_structure_reports_planted_violations(monkeypatch):
     clean = [1, 0, 0, 1] + [0] * 8
     trace = [2, 0, 0, 1] + [0] * 8
     shape = [0, 1, 0, 0] + [0] * 4 + [0, 0, 1, 0]
-    monkeypatch.setattr(st, "kernel_int", lambda rows, width: [clean, trace])
+    monkeypatch.setattr(st, "_cone_kernel", lambda n: [clean, trace])
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == ("basis[1]: diagonal sums not constant",)
     assert (rep.triangular_ok, rep.trace_ok, rep.passes) == (True, False, False)
-    monkeypatch.setattr(st, "kernel_int", lambda rows, width: [shape, clean])
+    monkeypatch.setattr(st, "_cone_kernel", lambda n: [shape, clean])
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == (
         "basis[0]: x[1][2] nonzero above diagonal",
@@ -238,6 +238,56 @@ def test_cone_structure_reports_planted_violations(monkeypatch):
     )
     assert (rep.triangular_ok, rep.trace_ok, rep.passes) == (False, True, False)
     assert rep.basis[0].z[1][0] == 1 and rep.dim_full == 2
+
+
+def _full_cone_rows(n):
+    """The unsplit cone condition as dense rows over the 3n^2 unknowns, for
+    each generator g: act(g) at every coordinate outside W + diag, and
+    act(g) at (i,i,i) minus act(g) at (1,1,1) for i >= 2."""
+    from bordersub.stabilizer import _action_map
+
+    nn = n * n
+    index = lambda t: (t[0] - 1) * nn + (t[1] - 1) * n + (t[2] - 1)
+    W = build_W(n, "W")
+    diag = [index((i, i, i)) for i in range(1, n + 1)]
+    outside = set(range(n**3)) - {index(t) for t in W} - set(diag)
+    rows = []
+    for g in [{(i, i, i): 1 for i in range(1, n + 1)}] + [{t: 1} for t in W.sorted_triples()]:
+        amap = _action_map(n, g)
+        forms = [amap.get(c, {}) for c in sorted(outside)]
+        for c in diag[1:]:
+            form = dict(amap.get(c, {}))
+            for unk, v in amap.get(diag[0], {}).items():
+                form[unk] = form.get(unk, 0) - v
+            forms.append(form)
+        for form in forms:
+            row = [0] * (3 * nn)
+            for unk, v in form.items():
+                row[unk] = v
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+def test_cone_condition_split():
+    from bordersub.linalg import kernel_int, rank_int
+    from bordersub.stabilizer import _cone_condition
+
+    for n in range(1, 11):
+        nn = n * n
+        zero, cols, rows = _cone_condition(n)
+        triangular = sorted(
+            [p * n + q for p in range(n) for q in range(p + 1, n)]
+            + [off + p * n + q for off in (nn, 2 * nn) for p in range(n) for q in range(p)]
+        )
+        assert zero == triangular and len(zero) == 3 * n * (n - 1) // 2
+        # at n = 1 there is no trace row, and the three unknowns stay free
+        diagonal = sorted(off + d * (n + 1) for off in (0, nn, 2 * nn) for d in range(n))
+        assert len(rows) == n - 1 and cols == (diagonal if n > 1 else [])
+    for n in range(2, 9):
+        full = _full_cone_rows(n)
+        assert [lt.flat() for lt in cone_stabilizer_structure(n).basis] == kernel_int(full, 3 * n * n)
+        assert cone_stabilizer_dim(n) == 3 * n * n - rank_int(full) - 2
 
 
 def test_cone_basis_and_tangent_attempts_pinned():
