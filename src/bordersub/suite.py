@@ -270,7 +270,7 @@ def run_suite(n_max):
         checks += check_stabilizers(n)
     for n in range(2, n_max + 1):
         checks += check_cone_stabilizer(n)
-    for n in range(2, min(n_max, 4) + 1):
+    for n in range(2, n_max + 1):
         checks += check_tangent(n)
     for n in range(1, n_max + 1):
         checks += check_certificates(n)

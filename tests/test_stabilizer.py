@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bordersub import (
     InvalidValueError,
@@ -304,7 +306,43 @@ def test_non_integral_stabilizers_pinned():
 def test_closed_forms_above_n8():
     for n in (9, 10):
         assert cone_stabilizer_dim(n) == (3 * n * n + n - 2) // 2
+    for n in (9, 10, 12, 16, 20):
         assert orbit_cone_tangent_dim(n, 0).value == qmax_dimension_bound(n)
+
+
+def test_reproduce_tangent_checks_n5():
+    from bordersub.suite import check_tangent
+
+    checks = check_tangent(5)
+    assert [name for name, _, _ in checks] == ["tangent-dim/n=5", "tangent-identity/n=5"]
+    assert all(passed for _, passed, _ in checks)
+
+
+@hs.composite
+def sparse_forms(draw):
+    """Sparse integer forms with explicit zero coefficients, empty forms,
+    duplicate rows and one-entry rows sharing a column."""
+    width = draw(hs.integers(1, 7))
+    coef = hs.integers(-3, 3)
+    forms = draw(hs.lists(hs.dictionaries(hs.integers(0, width - 1), coef, max_size=width), max_size=9))
+    if forms:
+        forms += draw(hs.lists(hs.sampled_from(forms), max_size=3))
+    shared = draw(hs.integers(0, width - 1))
+    forms += [{shared: draw(coef)} for _ in range(draw(hs.integers(0, 3)))]
+    return width, draw(hs.permutations(forms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_forms())
+def test_rank_forms_matches_dense_rank(case):
+    from bordersub.linalg import rank_int
+    from bordersub.stabilizer import _dense, _rank_forms
+
+    width, forms = case
+    dense = _dense(forms, width)
+    transpose = [{r: row[c] for r, row in enumerate(dense)} for c in range(width)]
+    assert _rank_forms(forms) == rank_int(dense)
+    assert _rank_forms(transpose) == rank_int(dense)
 
 
 def test_bound_values():
