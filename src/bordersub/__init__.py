@@ -56,10 +56,9 @@ from .stabilizer import (
     stabilizer_dim,
 )
 from .tensors import (
-    Permutation,
     Support,
+    Symmetry,
     Tensor3,
-    apply_permutation,
     build_tight_U,
     build_W,
     diagonal_support,
@@ -105,7 +104,7 @@ __all__ = [
     "LieTriple", "StructureReport", "TangentReport", "act", "cone_stabilizer_dim",
     "cone_stabilizer_structure", "orbit_cone_tangent_dim", "orbit_dim_unit", "qmax_dimension_bound",
     "stabilizer_basis", "stabilizer_dim",
-    "Permutation", "Support", "Tensor3", "apply_permutation", "build_tight_U", "build_W", "diagonal_support",
+    "Support", "Symmetry", "Tensor3", "build_tight_U", "build_W", "diagonal_support",
     "sample_coefficients", "sample_support", "tensor_from_support", "unit_tensor",
     "TightWitness", "check_tight_witness", "exhaustive_tight_search", "find_tight_witness",
     "CertificateVerdict", "TorusWeight", "binary_cocharacter", "check_degeneration_certificate",

@@ -42,11 +42,12 @@ reused rests on a certificate checked in exact integers:
   name a core (I, O), and every system with ins containing I and outs
   containing O is infeasible by the same y;
 * orbit closure: feasibility is invariant under relabelling the indices
-  diagonally (S_n) and permuting the three slots (S_3), and a certificate
-  maps along, so a recorded component is recorded with its whole orbit,
-  each image with its transformed certificate, re-checked to be >= 1 on
-  the image and <= 0 off it.  Found components then answer feasibility
-  (ins within M, outs outside M) and prune by domination sooner;
+  diagonally (S_n) and permuting the three slots (S_3), the group
+  ``tensors.Symmetry``, and a certificate maps along, so a recorded
+  component is recorded with its whole orbit, each image with its
+  transformed certificate, re-checked to be >= 1 on the image and <= 0
+  off it.  Found components then answer feasibility (ins within M, outs
+  outside M) and prune by domination sooner;
 * orbit-representative pruning: order supports by their in/out vectors
   over the triple order, "in" above "out", so the leader (largest member)
   of an orbit is the member the in-first search meets first.  Compare a
@@ -62,12 +63,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import gcd
 
 from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
 from .simplex import phase_one
-from .tensors import Support
+from .tensors import Support, Symmetry
 from .weights import TorusWeight, weight_of
 
 #: component enumeration is complete up to this format; beyond it the tool
@@ -189,25 +190,12 @@ def is_maximal_nullcone_support(S: Support):
     return len(extendable) == 0, extendable
 
 
-def _group(n):
-    """S_n x S_3 as (sigma, pi) pairs, the identity first."""
-    return [(sigma, pi) for sigma in permutations(range(n)) for pi in permutations(range(3))]
-
-
-def _act(sigma, pi, t):
-    """The image of (t_1, t_2, t_3): sigma(t_p) in slot pi(p)."""
-    u = [0, 0, 0]
-    for p in range(3):
-        u[pi[p]] = sigma[t[p] - 1] + 1
-    return tuple(u)
-
-
 def _position_maps(n, universe):
     """For every g in S_n x S_3 but the identity, the position of g(t) for
     each position t of universe; the group holds each inverse, so these
     are also the maps t -> g^-1(t)."""
     index = {t: a for a, t in enumerate(universe)}
-    return [[index[_act(sigma, pi, t)] for t in universe] for sigma, pi in _group(n)[1:]]
+    return [[index[g(t)] for t in universe] for g in Symmetry.all(n)[1:]]
 
 
 def _not_leader(state, maps):
@@ -228,20 +216,13 @@ def _not_leader(state, maps):
 
 
 def _symmetric_images(n, triples, cert):
-    """(image support, image certificate) under each diagonal relabelling
-    sigma of [n] combined with each permutation pi of the three slots.
-
-    The image certificate puts entry i of component p at entry sigma(i) of
-    component pi(p).  This and the move of each triple cancel in the
-    weight, and the zero column sums survive, so the image certificate
-    certifies the image support."""
-    comps = (cert.lam, cert.mu, cert.nu)
-    for sigma, pi in _group(n):
-        moved = [[0] * n for _ in range(3)]
-        for p in range(3):
-            for i in range(n):
-                moved[pi[p]][sigma[i]] = comps[p][i]
-        yield frozenset(_act(sigma, pi, t) for t in triples), TorusWeight(n, *moved)
+    """(image support, image certificate) under each element g of
+    S_n x S_3.  g moves the certificate's vectors as it moves the slots and
+    indices of a triple, so the image certificate certifies the image
+    support."""
+    vectors = (cert.lam, cert.mu, cert.nu)
+    for g in Symmetry.all(n):
+        yield frozenset(map(g, triples)), TorusWeight(n, *g.on_vectors(vectors))
 
 
 @dataclass(frozen=True)

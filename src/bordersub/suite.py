@@ -32,11 +32,10 @@ from .stabilizer import (
     stabilizer_dim,
 )
 from .tensors import (
-    Permutation,
     Support,
+    Symmetry,
     Tensor3,
     W_VARIANTS,
-    apply_permutation,
     build_W,
     sample_coefficients,
     sample_support,
@@ -136,20 +135,17 @@ def check_certificates(n):
     ]
 
 
-def _sigma_variants(n):
-    out = set()
-    for variant in W_VARIANTS:
-        base = build_W(n, variant)
-        for sigma in Permutation.all(n):
-            out.add(tuple(apply_permutation(sigma, base).sorted_triples()))
-    return out
+def _staircase_orbit(n):
+    """W(n) under S_n x S_3: the three staircase variants, each relabelled."""
+    W = build_W(n)
+    return {tuple(g.on_support(W).sorted_triples()) for g in Symmetry.all(n)}
 
 
 def check_example_1():
     tw = TorusWeight(3, *EXAMPLE_1_WEIGHTS)
     sup = positive_support(tw)
     maximal, _ = is_maximal_nullcone_support(sup)
-    distinct = tuple(sup.sorted_triples()) not in _sigma_variants(3)
+    distinct = tuple(sup.sorted_triples()) not in _staircase_orbit(3)
     return [
         ("example1/size", len(sup) == 13, f"{len(sup)} vs 13"),
         ("example1/feasible-maximal", nullcone_feasible(sup).feasible and maximal, ""),
@@ -173,7 +169,7 @@ def check_components_n3():
     enum = enumerate_maximal_components(3)
     comps = {tuple(s.sorted_triples()) for s in enum.components}
     sizes = {len(s) for s in enum.components}
-    named = _sigma_variants(3)
+    named = _staircase_orbit(3)
     ex1 = tuple(positive_support(TorusWeight(3, *EXAMPLE_1_WEIGHTS)).sorted_triples())
     ex2 = tuple(positive_support(TorusWeight(3, *EXAMPLE_2_WEIGHTS)).sorted_triples())
     return [

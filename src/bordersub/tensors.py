@@ -1,5 +1,6 @@
 """Core value types: exact rational sparse tensors of format n x n x n,
-coordinate supports, permutations, and the named support families.
+coordinate supports, the S_n x S_3 symmetry group acting on them, and the
+named support families.
 
 Conventions used everywhere in the package:
 
@@ -27,7 +28,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 from .errors import DimensionMismatchError, InvalidValueError
@@ -89,8 +90,11 @@ class Support:
         return Support.of(self.n, self.triples | {tuple(t) for t in other})
 
     def difference(self, other):
-        other = other.triples if isinstance(other, Support) else {tuple(t) for t in other}
-        return Support.of(self.n, self.triples - other)
+        if isinstance(other, Support):
+            if other.n != self.n:
+                raise DimensionMismatchError(f"n={self.n} vs n={other.n}")
+            other = other.triples
+        return Support.of(self.n, self.triples - {tuple(t) for t in other})
 
     def to_json(self):
         return {"n": self.n, "triples": [list(t) for t in self.sorted_triples()]}
@@ -194,35 +198,56 @@ def integer_entries(T: Tensor3) -> dict[Triple, int]:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A bijection of [n], acting diagonally on index triples."""
+class Symmetry:
+    """An element of S_n x S_3, the symmetry group of the unit tensor's
+    coordinate supports: relabel every index by sigma (1-based images,
+    i -> sigma[i - 1]) and move the entry in position p of a triple to
+    position slots[p] (0-based).  The default slots give a diagonal
+    relabelling."""
 
     n: int
-    images: tuple[int, ...]
+    sigma: tuple[int, ...]
+    slots: tuple[int, int, int] = (0, 1, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, self.n + 1)):
-            raise InvalidValueError(f"{self.images!r} is not a permutation of 1..{self.n}")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, tuple(range(1, n + 1)))
+        object.__setattr__(self, "sigma", tuple(self.sigma))
+        object.__setattr__(self, "slots", tuple(self.slots))
+        if sorted(self.sigma) != list(range(1, self.n + 1)):
+            raise InvalidValueError(f"{self.sigma!r} is not a permutation of 1..{self.n}")
+        if sorted(self.slots) != [0, 1, 2]:
+            raise InvalidValueError(f"{self.slots!r} is not a permutation of the slots 0, 1, 2")
 
     @classmethod
     def all(cls, n):
-        from itertools import permutations
+        """The 6 n! elements, the identity first, sigma varying slowest."""
+        return [cls(n, sigma, slots) for sigma in permutations(range(1, n + 1)) for slots in permutations(range(3))]
 
-        return [cls(n, imgs) for imgs in permutations(range(1, n + 1))]
+    def __call__(self, t):
+        """The image of the triple t: sigma(t[p]) in position slots[p]."""
+        i, j, k = t
+        n = self.n
+        if not (0 < i <= n and 0 < j <= n and 0 < k <= n):
+            raise InvalidValueError(f"triple {t!r} outside [1, {n}]^3")
+        sigma, (a, b, c) = self.sigma, self.slots
+        u = [0, 0, 0]
+        u[a], u[b], u[c] = sigma[i - 1], sigma[j - 1], sigma[k - 1]
+        return tuple(u)
 
-    def __call__(self, i):
-        return self.images[i - 1]
+    def on_support(self, sup: Support) -> Support:
+        if self.n != sup.n:
+            raise DimensionMismatchError(f"symmetry n={self.n} vs support n={sup.n}")
+        return Support.of(sup.n, map(self, sup.triples))
 
-    def compose(self, other):
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionMismatchError(f"n={self.n} vs n={other.n}")
-        return Permutation(self.n, tuple(self(other(i)) for i in range(1, self.n + 1)))
+    def on_vectors(self, vectors):
+        """Three per-slot vectors indexed by [n] (such as a cocharacter's
+        lambda, mu, nu) moved along: entry i of vector p goes to entry
+        sigma(i) of vector slots[p].  A weight summed over the slots of a
+        triple then reads the same at the triple's image."""
+        moved = [[0] * self.n for _ in range(3)]
+        for p in range(3):
+            for i in range(self.n):
+                moved[self.slots[p]][self.sigma[i] - 1] = vectors[p][i]
+        return tuple(map(tuple, moved))
 
 
 def unit_tensor(n) -> Tensor3:
@@ -274,13 +299,6 @@ def build_tight_U(n) -> Support:
     return Support.of(n, triples)
 
 
-def apply_permutation(s: Permutation, sup: Support) -> Support:
-    """Diagonal action: (i,j,k) -> (s(i), s(j), s(k))."""
-    if s.n != sup.n:
-        raise DimensionMismatchError(f"permutation n={s.n} vs support n={sup.n}")
-    return Support.of(sup.n, [(s(i), s(j), s(k)) for (i, j, k) in sup])
-
-
 def tensor_from_support(sup: Support, coeffs) -> Tensor3:
     """Tensor with the prescribed support; coeffs must cover it exactly."""
     coeffs = {tuple(t): Fraction(c) for t, c in coeffs.items()}
@@ -307,6 +325,8 @@ def sample_coefficients(sup: Support, seed) -> dict[Triple, Fraction]:
 def sample_support(n, seed, max_size) -> Support:
     """Seeded random support: uniform size in [1, max_size], triples drawn
     without replacement from the whole cube (diagonal included)."""
+    if n < 1 or max_size < 1:
+        raise InvalidValueError("n and max_size must be positive")
     rng = random.Random(f"bordersub:support:{n}:{max_size}:{seed}")
     cube = [t for t in product(range(1, n + 1), repeat=3)]
     size = rng.randint(1, min(max_size, len(cube)))

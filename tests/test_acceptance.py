@@ -7,17 +7,15 @@ One test per criterion; each prints a PASS line so `pytest -s` (or the CLI
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 from bordersub import (
     Monomial,
-    Permutation,
     Support,
     Tensor3,
     TightWitness,
     TorusWeight,
-    apply_permutation,
     binary_cocharacter,
     build_W,
     check_degeneration_certificate,
@@ -54,8 +52,8 @@ def _sigma_images_of_staircases():
     out = set()
     for variant in W_VARIANTS:
         base = build_W(3, variant)
-        for sigma in Permutation.all(3):
-            out.add(tuple(apply_permutation(sigma, base).sorted_triples()))
+        for s in permutations((1, 2, 3)):
+            out.add(tuple(sorted((s[i - 1], s[j - 1], s[k - 1]) for i, j, k in base)))
     return out
 
 

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +11,10 @@ import bordersub.nullcone as nullcone
 
 from bordersub import (
     CapExceededError,
-    Permutation,
     PreconditionError,
     Support,
+    Symmetry,
     TorusWeight,
-    apply_permutation,
     binary_cocharacter,
     build_W,
     enumerate_maximal_components,
@@ -110,8 +109,8 @@ def test_downward_closure_on_random_chains():
 def test_feasibility_permutation_equivariant():
     for S in named_supports():
         base = nullcone_feasible(S).feasible
-        for sigma in Permutation.all(3):
-            assert nullcone_feasible(apply_permutation(sigma, S)).feasible == base
+        for g in Symmetry.all(3):
+            assert nullcone_feasible(g.on_support(S)).feasible == base
 
 
 def test_is_maximal_on_named_supports():
@@ -181,30 +180,14 @@ def test_enumeration_n2_closed_under_permutations():
     enum = enumerate_maximal_components(2)
     comps = {tuple(s.sorted_triples()) for s in enum.components}
     for s in enum.components:
-        for sigma in Permutation.all(2):
-            assert tuple(apply_permutation(sigma, s).sorted_triples()) in comps
-
-
-def _slot_permuted(pi, triples):
-    """Triple (t_1, t_2, t_3) with t_p moved to slot pi[p]."""
-    out = []
-    for t in triples:
-        u = [0, 0, 0]
-        for p in range(3):
-            u[pi[p]] = t[p]
-        out.append(tuple(u))
-    return out
+        for g in Symmetry.all(2):
+            assert tuple(g.on_support(s).sorted_triples()) in comps
 
 
 def _orbit(triples):
     """The images of an n = 3 support under relabellings and slot permutations."""
     S = Support.of(3, triples)
-    out = set()
-    for sigma in Permutation.all(3):
-        relabelled = apply_permutation(sigma, S).sorted_triples()
-        for pi in permutations(range(3)):
-            out.add(frozenset(_slot_permuted(pi, relabelled)))
-    return out
+    return {frozenset(g.on_support(S).triples) for g in Symmetry.all(3)}
 
 
 def test_enumeration_n3_closed_under_permutations(components_n3):
@@ -286,8 +269,7 @@ def test_every_positive_support_lies_in_a_component(components_n3, columns):
 )
 def test_feasibility_and_certificates_move_with_the_symmetry_group(triples, images, pi):
     S = Support.of(3, triples)
-    sigma = Permutation(3, tuple(images))
-    moved = Support.of(3, _slot_permuted(pi, apply_permutation(sigma, S).sorted_triples()))
+    moved = Symmetry(3, images, pi).on_support(S)
     out = nullcone_feasible(S)
     assert nullcone_feasible(moved).feasible == out.feasible
     if out.feasible:

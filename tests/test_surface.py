@@ -12,9 +12,9 @@ import bordersub
 PUBLIC_NAMES = [
     "BordersubError", "CapExceededError", "CertificateVerdict", "ComponentEnumeration",
     "DimensionMismatchError", "FeasibilityOutcome", "InternalError", "InvalidValueError",
-    "LieTriple", "Monomial", "OrbitVerdict", "Permutation", "PreconditionError", "SliceFamily",
-    "StructureReport", "Support", "TangentReport", "Tensor3", "TightWitness", "TorusWeight",
-    "act", "apply_gl", "apply_permutation", "backend_name", "binary_cocharacter", "build_W",
+    "LieTriple", "Monomial", "OrbitVerdict", "PreconditionError", "SliceFamily",
+    "StructureReport", "Support", "Symmetry", "TangentReport", "Tensor3", "TightWitness", "TorusWeight",
+    "act", "apply_gl", "backend_name", "binary_cocharacter", "build_W",
     "build_tight_U", "check_degeneration_certificate", "check_tight_witness",
     "cone_stabilizer_dim", "cone_stabilizer_structure", "diagonal_support",
     "duality_degree_cap", "enumerate_maximal_components", "exhaustive_tight_search",

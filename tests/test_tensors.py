@@ -1,22 +1,27 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bordersub import (
     DimensionMismatchError,
     InvalidValueError,
-    Permutation,
     Support,
+    Symmetry,
     Tensor3,
-    apply_permutation,
+    TorusWeight,
     build_tight_U,
     build_W,
     diagonal_support,
     sample_coefficients,
+    sample_support,
     tensor_from_support,
     unit_tensor,
+    weight_of,
 )
 from bordersub.tensors import W_VARIANTS
 
@@ -89,30 +94,77 @@ def test_tight_U_inside_W():
 
 def test_apply_permutation_identity_and_swap():
     W2 = build_W(2, "W")
-    assert apply_permutation(Permutation.identity(2), W2).triples == W2.triples
-    swapped = apply_permutation(Permutation(2, (2, 1)), W2)
+    assert Symmetry(2, (1, 2)).on_support(W2) == W2
+    swapped = Symmetry(2, (2, 1)).on_support(W2)
     assert set(swapped.triples) == {(1, 2, 2), (1, 2, 1), (1, 1, 2)}
+    # moving the first slot's entry to the second slot turns W into W'
+    assert Symmetry(2, (1, 2), (1, 0, 2)).on_support(W2) == build_W(2, "W'")
 
 
 def test_apply_permutation_preserves_size():
     W3 = build_W(3, "W")
-    for sigma in Permutation.all(3):
-        assert len(apply_permutation(sigma, W3)) == len(W3)
-
-
-def test_apply_permutation_composition():
-    rng = random.Random(11)
-    cube = list(product(range(1, 5), repeat=3))
-    for _ in range(25):
-        S = Support.of(4, rng.sample(cube, rng.randint(1, 12)))
-        si = Permutation(4, tuple(rng.sample(range(1, 5), 4)))
-        rho = Permutation(4, tuple(rng.sample(range(1, 5), 4)))
-        assert apply_permutation(si.compose(rho), S).triples == apply_permutation(si, apply_permutation(rho, S)).triples
+    for g in Symmetry.all(3):
+        assert len(g.on_support(W3)) == len(W3)
 
 
 def test_apply_permutation_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        apply_permutation(Permutation.identity(2), build_W(3, "W"))
+        Symmetry(2, (1, 2)).on_support(build_W(3, "W"))
+
+
+def test_symmetry_group_lists_every_element_once():
+    for n in range(1, 5):
+        G = Symmetry.all(n)
+        assert len(G) == len(set(G)) == 6 * factorial(n)
+        assert G[0] == Symmetry(n, range(1, n + 1))
+        assert all(G[0](t) == t for t in product(range(1, n + 1), repeat=3))
+
+
+@st.composite
+def symmetries(draw, n):
+    return Symmetry(n, draw(st.permutations(range(1, n + 1))), draw(st.permutations(range(3))))
+
+
+@st.composite
+def cocharacters(draw):
+    n = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=n, max_size=n))
+    lam, mu = zip(*columns)
+    return TorusWeight(n, lam, mu, [-a - b for a, b in columns])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(cocharacters())
+def test_moved_cocharacter_keeps_every_weight(tw):
+    cube = list(product(range(1, tw.n + 1), repeat=3))
+    for g in Symmetry.all(tw.n):
+        moved = TorusWeight(tw.n, *g.on_vectors((tw.lam, tw.mu, tw.nu)))
+        assert all(weight_of(moved, g(t)) == weight_of(tw, t) for t in cube)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(1, n)] * 3), max_size=12).map(lambda ts: Support.of(n, ts)),
+    symmetries(n),
+)))
+def test_symmetry_maps_an_orbit_onto_itself(case):
+    # the group is closed under composition, so a further element only
+    # permutes the orbit
+    S, h = case
+    orbit = {g.on_support(S) for g in Symmetry.all(S.n)}
+    assert {h.on_support(X) for X in orbit} == orbit
+
+
+def test_support_set_operations_reject_another_n():
+    for op in (Support.union, Support.difference):
+        with pytest.raises(DimensionMismatchError):
+            op(build_W(2), build_W(3))
+
+
+def test_sample_support_rejects_empty_ranges():
+    for n, max_size in ((0, 5), (-1, 5), (3, 0)):
+        with pytest.raises(InvalidValueError):
+            sample_support(n, 0, max_size)
 
 
 def test_rational_exactness_probes():
@@ -180,7 +232,9 @@ def test_tensor_json_rejects_decimals():
 
 def test_permutation_validation():
     with pytest.raises(InvalidValueError):
-        Permutation(3, (1, 1, 2))
+        Symmetry(3, (1, 1, 2))
+    with pytest.raises(InvalidValueError):
+        Symmetry(3, (1, 2, 3), (0, 0, 1))
 
 
 def test_sample_coefficients_deterministic_and_nonzero():

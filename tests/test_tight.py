@@ -8,10 +8,9 @@ import bordersub.tight as tight_module
 from bordersub import (
     DimensionMismatchError,
     InvalidValueError,
-    Permutation,
     Support,
+    Symmetry,
     TightWitness,
-    apply_permutation,
     binary_cocharacter,
     build_tight_U,
     build_W,
@@ -163,8 +162,8 @@ def test_permutation_equivariance():
     for _ in range(30):
         S = Support.of(3, rng.sample(cube, rng.randint(1, 9)))
         tight = find_tight_witness(S) is not None
-        for sigma in Permutation.all(3):
-            assert (find_tight_witness(apply_permutation(sigma, S)) is not None) == tight
+        for g in Symmetry.all(3):
+            assert (find_tight_witness(g.on_support(S)) is not None) == tight
 
 
 def test_plane_tensor_doubly_certified():
