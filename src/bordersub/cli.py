@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import backend_name
-from .errors import BordersubError, CapExceededError, InternalError, InvalidValueError, PreconditionError
+from .errors import BordersubError, InternalError, InvalidValueError
 from .monomials import Monomial, generator_family, invariant_monomials_within, is_torus_invariant
 from .nullcone import ENUMERATION_CAP, enumerate_maximal_components, is_maximal_nullcone_support, nullcone_feasible
 from .orbit import unit_orbit_member
@@ -437,9 +437,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidValueError, CapExceededError, PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3

@@ -38,11 +38,12 @@ class Monomial:
     factors: tuple[Triple, ...]
 
     def __post_init__(self):
+        json_int(self.n)
         factors = tuple(sorted(tuple(t) for t in self.factors))
         if not factors:
             raise InvalidValueError("monomials must have positive degree")
         for t in factors:
-            if len(t) != 3 or not all(isinstance(v, int) and 1 <= v <= self.n for v in t):
+            if len(t) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= self.n for v in t):
                 raise InvalidValueError(f"factor {t!r} outside [1, {self.n}]^3")
         object.__setattr__(self, "factors", factors)
 

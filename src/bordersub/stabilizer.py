@@ -13,14 +13,16 @@ scale leaves the row space unchanged):
 
 * the stabilizer of T is its kernel; for the unit tensor the kernel is the
   diagonal zero-sum algebra of dimension 2n (2n - 2 after dividing out the
-  two-dimensional scalar kernel of the action);
+  two-dimensional scalar kernel of the action).  Its basis, like the cone
+  kernel below, comes from ``_split``: a one-term form forces its unknown
+  to 0, and only the other forms reach the RREF inside ``kernel_int``;
 * the stabilizer of the cone spanned by the unit tensor and the staircase
   space W is the kernel of "act lands inside <unit, W>", a condition made
   linear by quantifying over the generators {unit} + basis of W.  W holds
   no diagonal triple, so <unit, W> is the set of tensors v with v_c = 0
   for every coordinate c outside W + diag and v_(1,1,1) = ... = v_(n,n,n):
   each generator contributes its image at those coordinates and its image
-  at (i,i,i) minus its image at (1,1,1).  Solved by its structure, the
+  at (i,i,i) minus its image at (1,1,1).  Split the same way, the
   condition is the triangular shape (the 3n(n-1)/2 entries of x above the
   diagonal and of y and z below it vanish, each forced by a one-term form)
   plus n - 1 trace rows on the 3n diagonal entries, so the gl^3-level
@@ -53,7 +55,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int, rank_int
-from .tensors import Tensor3, build_W, integer_entries, sample_coefficients, unit_tensor
+from .tensors import Tensor3, build_W, integer_entries, json_int, rational, sample_coefficients, unit_tensor
 
 #: dimension of the scalar pairs acting trivially on every tensor
 ACTION_KERNEL_DIM = 2
@@ -69,12 +71,13 @@ class LieTriple:
     z: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        json_int(self.n)
         # one Fraction per distinct entry: kernel vectors repeat few values
         shared = {}
         for name in ("x", "y", "z"):
             mat = tuple(
                 tuple(
-                    v if type(v) is Fraction else shared[v] if v in shared else shared.setdefault(v, Fraction(v))
+                    v if type(v) is Fraction else shared[v] if v in shared else shared.setdefault(v, rational(v))
                     for v in row
                 )
                 for row in getattr(self, name)
@@ -110,7 +113,7 @@ class LieTriple:
         return LieTriple(self.n, add(self.x, other.x), add(self.y, other.y), add(self.z, other.z))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         mul = lambda a: tuple(tuple(c * v for v in row) for row in a)
         return LieTriple(self.n, mul(self.x), mul(self.y), mul(self.z))
 
@@ -211,12 +214,45 @@ def _rank_forms(forms):
     return rank + rank_int(_dense(({pos[c]: v for c, v in row.items()} for row in rows.values()), len(pos)))
 
 
-def _coordinate_rows(T: Tensor3):
-    """Integer rows of lt -> act(lt, T) over the 3n^2 unknowns, one per
-    coordinate that the action can reach, in coordinate order; T's
-    denominators are cleared first, which keeps the row space."""
-    amap = _action_map(T.n, integer_entries(T))
-    return _dense((amap[c] for c in sorted(amap)), 3 * T.n * T.n)
+def _split(forms):
+    """Split sparse integer forms {unknown: coefficient} into (zero, cols,
+    rows).  No form may hold a zero coefficient, or it would pass for more
+    terms than it has.  A one-term form forces its unknown to 0; ``zero``
+    lists those unknowns.  The other forms, with the ``zero`` unknowns
+    dropped and duplicates removed, are the integer ``rows``, dense over the
+    sorted unknowns ``cols`` that they touch.  The system's row space is
+    span{e_u : u in zero} + rowspace(rows) on disjoint columns."""
+    zero, multi = set(), []
+    for form in forms:
+        if len(form) == 1:
+            zero.update(form)
+        elif form:
+            multi.append(form)
+    kept = {tuple(sorted((unk, v) for unk, v in form.items() if unk not in zero)) for form in multi}
+    kept.discard(())
+    cols = sorted({unk for form in kept for unk, _ in form})
+    pos = {unk: i for i, unk in enumerate(cols)}
+    rows = _dense(({pos[unk]: v for unk, v in form} for form in sorted(kept)), len(cols))
+    return sorted(zero), cols, rows
+
+
+def _kernel_forms(forms, width):
+    """``kernel_int`` of the dense rows of ``_split``'s forms over ``width``
+    unknowns: their RREF is the unit rows of ``zero`` beside the RREF of
+    ``rows``.  An unknown in neither part is free and gives e_u; the kernel
+    of ``rows``, embedded at ``cols``, gives the rest.  Each vector's free
+    column is its last nonzero entry, and the basis is in free-column order."""
+    zero, cols, rows = _split(forms)
+    by_free = {}
+    for u in set(range(width)).difference(zero, cols):
+        by_free[u] = [0] * width
+        by_free[u][u] = 1
+    for part in kernel_int(rows, len(cols)):
+        vec = [0] * width
+        for c, v in zip(cols, part):
+            vec[c] = v
+        by_free[max(c for c, v in zip(cols, part) if v)] = vec
+    return [by_free[f] for f in sorted(by_free)]
 
 
 def act(lt: LieTriple, T: Tensor3) -> Tensor3:
@@ -242,7 +278,7 @@ def stabilizer_dim(T: Tensor3) -> int:
 
 def stabilizer_basis(T: Tensor3) -> list[LieTriple]:
     """Canonical primitive-integer basis of the stabilizer algebra."""
-    vecs = kernel_int(_coordinate_rows(T), 3 * T.n * T.n)
+    vecs = _kernel_forms(_action_map(T.n, integer_entries(T)).values(), 3 * T.n * T.n)
     return [LieTriple.from_flat(T.n, v) for v in vecs]
 
 
@@ -252,74 +288,37 @@ def orbit_dim_unit(n) -> int:
     return _rank_forms(_action_map(n, integer_entries(unit_tensor(n))).values())
 
 
-def _cone_condition(n):
+def _cone_forms(n):
     """The condition "act(lt, g) lies in <unit, W> for every generator g
-    (the unit tensor and e_w, w in W)" over the 3n^2 unknowns, split by its
-    structure into (zero, cols, rows).
-
-    Each generator contributes the forms of its image at every coordinate
-    outside W + diag and of its image at (i,i,i) minus its image at
-    (1,1,1), i >= 2.  A one-term form forces its unknown to 0; ``zero``
-    lists those unknowns.  The other forms, with the ``zero`` unknowns
-    dropped and duplicates removed, are the integer ``rows``, dense over
-    the sorted unknowns ``cols`` that they touch.  The full system's row
-    space is span{e_u : u in zero} + rowspace(rows) on disjoint columns."""
+    (the unit tensor and e_w, w in W)" as sparse integer forms over the
+    3n^2 unknowns: each generator contributes the forms of its image at
+    every coordinate outside W + diag and of its image at (i,i,i) minus its
+    image at (1,1,1), i >= 2, with zero coefficients dropped."""
     W = build_W(n, "W")
     origin = _coord_index(n, (1, 1, 1))
     rest = [_coord_index(n, (i, i, i)) for i in range(2, n + 1)]
     skip = {_coord_index(n, t) for t in W} | {origin} | set(rest)
-    zero, multi = set(), []
+    forms = []
     unit = {(i, i, i): 1 for i in range(1, n + 1)}
     for g in [unit] + [{t: 1} for t in W.sorted_triples()]:
         amap = _action_map(n, g)
         at_origin = amap.get(origin, {})
-        forms = [form for c, form in amap.items() if c not in skip]
+        forms += [form for c, form in amap.items() if c not in skip]
         for c in rest:
             if at_origin or c in amap:
                 form = dict(amap.get(c, {}))
                 for unk, v in at_origin.items():
                     form[unk] = form.get(unk, 0) - v
                 forms.append({unk: v for unk, v in form.items() if v})
-        for form in forms:
-            if len(form) == 1:
-                zero.update(form)
-            elif form:
-                multi.append(form)
-    kept = {tuple(sorted((unk, v) for unk, v in form.items() if unk not in zero)) for form in multi}
-    kept.discard(())
-    cols = sorted({unk for form in kept for unk, _ in form})
-    pos = {unk: i for i, unk in enumerate(cols)}
-    rows = _dense(({pos[unk]: v for unk, v in form} for form in sorted(kept)), len(cols))
-    return sorted(zero), cols, rows
+    return forms
 
 
 def cone_stabilizer_dim(n) -> int:
     """Faithful-quotient dimension (3n^2 + n - 2)/2 of the algebra
     preserving the cone over the unit tensor and W; the gl^3-level kernel
     is two bigger."""
-    zero, _, rows = _cone_condition(n)
+    zero, _, rows = _split(_cone_forms(n))
     return 3 * n * n - len(zero) - rank_int(rows) - ACTION_KERNEL_DIM
-
-
-def _cone_kernel(n):
-    """The canonical kernel basis of the cone condition, equal to kernel_int
-    of the full system over the 3n^2 unknowns: that system's RREF is the
-    unit rows of ``zero`` beside the RREF of ``rows``.  Every unknown in
-    neither part is free and gives e_u; the kernel of ``rows``, embedded at
-    ``cols``, gives the rest.  Each vector's free column is its last nonzero
-    entry, and the basis is in free-column order."""
-    zero, cols, rows = _cone_condition(n)
-    width = 3 * n * n
-    by_free = {}
-    for u in set(range(width)).difference(zero, cols):
-        by_free[u] = [0] * width
-        by_free[u][u] = 1
-    for part in kernel_int(rows, len(cols)):
-        vec = [0] * width
-        for c, v in zip(cols, part):
-            vec[c] = v
-        by_free[max(c for c, v in zip(cols, part) if v)] = vec
-    return [by_free[f] for f in sorted(by_free)]
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,7 @@ def cone_stabilizer_structure(n) -> StructureReport:
     x_ss + y_ss + z_ss constant across s for every basis element, read off
     the integer kernel vectors (x, y, z row-major, as in LieTriple.flat)."""
     nn = n * n
-    vecs = _cone_kernel(n)
+    vecs = _kernel_forms(_cone_forms(n), 3 * nn)
     basis = tuple(LieTriple.from_flat(n, v) for v in vecs)
     violations = []
     triangular_ok = trace_ok = True

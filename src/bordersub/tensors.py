@@ -39,7 +39,7 @@ W_VARIANTS = ("W", "W'", "W''")
 
 
 def _check_triple(n, t):
-    if len(t) != 3 or not all(isinstance(v, int) and 1 <= v <= n for v in t):
+    if len(t) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n for v in t):
         raise InvalidValueError(f"triple {t!r} outside [1, {n}]^3")
     return (t[0], t[1], t[2])
 
@@ -54,6 +54,14 @@ def json_int(value):
     raise InvalidValueError(f"{value!r} is not a JSON integer")
 
 
+def rational(value):
+    """value as an exact Fraction.  A float raises InvalidValueError:
+    Fraction(0.1) keeps its binary expansion 3602879701896397/2^55."""
+    if isinstance(value, float):
+        raise InvalidValueError(f"{value!r} is a float, not an exact rational")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Support:
     """A finite set of index triples: a coordinate subspace of A (x) B (x) C."""
@@ -62,7 +70,7 @@ class Support:
     triples: frozenset[Triple]
 
     def __post_init__(self):
-        if self.n < 1:
+        if json_int(self.n) < 1:
             raise InvalidValueError("format n must be positive")
         object.__setattr__(self, "triples", frozenset(_check_triple(self.n, t) for t in self.triples))
 
@@ -127,12 +135,12 @@ class Tensor3:
     entries: dict[Triple, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
+        if json_int(self.n) < 1:
             raise InvalidValueError("format n must be positive")
         clean = {}
         for t, c in self.entries.items():
             t = _check_triple(self.n, t)
-            c = Fraction(c)
+            c = rational(c)
             if c == 0:
                 raise InvalidValueError(f"explicit zero coefficient at {t}")
             clean[t] = c
@@ -160,7 +168,7 @@ class Tensor3:
         return Tensor3(self.n, entries)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         if c == 0:
             return Tensor3(self.n, {})
         return Tensor3(self.n, {t: c * v for t, v in self.entries.items()})

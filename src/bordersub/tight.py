@@ -40,8 +40,9 @@ class TightWitness:
     tau_c: tuple[int, ...]
 
     def __post_init__(self):
+        json_int(self.n)
         for name in ("tau_a", "tau_b", "tau_c"):
-            seq = tuple(int(v) for v in getattr(self, name))
+            seq = tuple(map(json_int, getattr(self, name)))
             if len(seq) != self.n:
                 raise InvalidValueError(f"{name} must have length n={self.n}")
             object.__setattr__(self, name, seq)

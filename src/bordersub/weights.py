@@ -30,9 +30,10 @@ class TorusWeight:
     nu: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(int(v) for v in self.lam))
-        object.__setattr__(self, "mu", tuple(int(v) for v in self.mu))
-        object.__setattr__(self, "nu", tuple(int(v) for v in self.nu))
+        json_int(self.n)
+        object.__setattr__(self, "lam", tuple(map(json_int, self.lam)))
+        object.__setattr__(self, "mu", tuple(map(json_int, self.mu)))
+        object.__setattr__(self, "nu", tuple(map(json_int, self.nu)))
         for seq in (self.lam, self.mu, self.nu):
             if len(seq) != self.n:
                 raise InvalidValueError(f"cocharacter sequences must have length n={self.n}")

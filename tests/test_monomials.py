@@ -22,6 +22,13 @@ def test_monomial_requires_positive_degree():
         Monomial(2, ())
 
 
+def test_monomial_refuses_boolean_index():
+    with pytest.raises(InvalidValueError):
+        Monomial(2, ((1, True, 1),))
+    with pytest.raises(InvalidValueError):
+        Monomial(2.0, ((1, 1, 1),))
+
+
 def test_factors_stored_sorted():
     m = Monomial(3, ((3, 1, 2), (1, 2, 3)))
     assert m.factors == ((1, 2, 3), (3, 1, 2))

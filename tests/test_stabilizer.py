@@ -125,14 +125,17 @@ def test_stabilizer_basis_annihilates():
 
 
 def test_stabilizer_basis_of_unit_is_diagonal_zero_sum():
-    for lt in stabilizer_basis(unit_tensor(3)):
-        for m in (lt.x, lt.y, lt.z):
-            for r in range(3):
-                for c in range(3):
-                    if r != c:
-                        assert m[r][c] == 0
-        for i in range(3):
-            assert lt.x[i][i] + lt.y[i][i] + lt.z[i][i] == 0
+    for n in range(1, 11):
+        basis = stabilizer_basis(unit_tensor(n))
+        assert len(basis) == 2 * n
+        for lt in basis:
+            for m in (lt.x, lt.y, lt.z):
+                for r in range(n):
+                    for c in range(n):
+                        if r != c:
+                            assert m[r][c] == 0
+            for i in range(n):
+                assert lt.x[i][i] + lt.y[i][i] + lt.z[i][i] == 0
 
 
 def test_orbit_dim_unit():
@@ -228,11 +231,11 @@ def test_cone_structure_reports_planted_violations(monkeypatch):
     clean = [1, 0, 0, 1] + [0] * 8
     trace = [2, 0, 0, 1] + [0] * 8
     shape = [0, 1, 0, 0] + [0] * 4 + [0, 0, 1, 0]
-    monkeypatch.setattr(st, "_cone_kernel", lambda n: [clean, trace])
+    monkeypatch.setattr(st, "_kernel_forms", lambda forms, width: [clean, trace])
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == ("basis[1]: diagonal sums not constant",)
     assert (rep.triangular_ok, rep.trace_ok, rep.passes) == (True, False, False)
-    monkeypatch.setattr(st, "_cone_kernel", lambda n: [shape, clean])
+    monkeypatch.setattr(st, "_kernel_forms", lambda forms, width: [shape, clean])
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == (
         "basis[0]: x[1][2] nonzero above diagonal",
@@ -273,11 +276,11 @@ def _full_cone_rows(n):
 
 def test_cone_condition_split():
     from bordersub.linalg import kernel_int, rank_int
-    from bordersub.stabilizer import _cone_condition
+    from bordersub.stabilizer import _cone_forms, _split
 
     for n in range(1, 11):
         nn = n * n
-        zero, cols, rows = _cone_condition(n)
+        zero, cols, rows = _split(_cone_forms(n))
         triangular = sorted(
             [p * n + q for p in range(n) for q in range(p + 1, n)]
             + [off + p * n + q for off in (nn, 2 * nn) for p in range(n) for q in range(p)]
@@ -335,14 +338,16 @@ def sparse_forms(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sparse_forms())
 def test_rank_forms_matches_dense_rank(case):
-    from bordersub.linalg import rank_int
-    from bordersub.stabilizer import _dense, _rank_forms
+    from bordersub.linalg import kernel_int, rank_int
+    from bordersub.stabilizer import _dense, _kernel_forms, _rank_forms
 
     width, forms = case
     dense = _dense(forms, width)
     transpose = [{r: row[c] for r, row in enumerate(dense)} for c in range(width)]
     assert _rank_forms(forms) == rank_int(dense)
     assert _rank_forms(transpose) == rank_int(dense)
+    nonzero = [{c: v for c, v in form.items() if v} for form in forms]
+    assert _kernel_forms(nonzero, width) == kernel_int(dense, width)
 
 
 def test_bound_values():
@@ -360,6 +365,16 @@ def test_bound_divisibility_invariant():
 def test_bound_rejects_nonpositive():
     with pytest.raises(InvalidValueError):
         qmax_dimension_bound(0)
+
+
+def test_lie_triple_refuses_floats():
+    with pytest.raises(InvalidValueError):
+        LieTriple(1, ((0.1,),), ((0,),), ((0,),))
+    with pytest.raises(InvalidValueError):
+        LieTriple.zero(1).scale(0.5)
+    with pytest.raises(InvalidValueError):
+        LieTriple(1.0, ((0,),), ((0,),), ((0,),))
+    assert LieTriple(1, ((Fraction(1, 10),),), ((0,),), ((0,),)).x == ((Fraction(1, 10),),)
 
 
 def test_act_dimension_mismatch():

@@ -209,6 +209,27 @@ def test_tensor_validation():
         Tensor3(2, {(1, 1, 1): Fraction(0)})
 
 
+def test_tensor_refuses_floats():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(InvalidValueError):
+        Tensor3(2, {(1, 1, 1): 0.1})
+    with pytest.raises(InvalidValueError):
+        Tensor3(2, {(1, 1, 1): Fraction(1)}).scale(0.5)
+    assert Tensor3(2, {(1, 1, 1): "1/10"}).entries == {(1, 1, 1): Fraction(1, 10)}
+
+
+def test_support_refuses_boolean_index():
+    with pytest.raises(InvalidValueError):
+        Support.of(2, [(1, 1, True)])
+    with pytest.raises(InvalidValueError):
+        Tensor3(2, {(1, False, 1): Fraction(1)})
+    for n in (2.0, True):
+        with pytest.raises(InvalidValueError):
+            Support.of(n, [(1, 1, 1)])
+        with pytest.raises(InvalidValueError):
+            Tensor3(n, {})
+
+
 def test_tensor_addition_cancels():
     T = Tensor3(2, {(1, 2, 1): Fraction(1)})
     U = Tensor3(2, {(1, 2, 1): Fraction(-1), (2, 1, 1): Fraction(2)})

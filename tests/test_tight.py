@@ -50,6 +50,14 @@ def test_injectivity_required():
     assert not check_tight_witness(plane_support(3), w)
 
 
+def test_tight_witness_refuses_floats():
+    # int() would read tau_A = (0.5, 1.9) as (0, 1)
+    with pytest.raises(InvalidValueError):
+        TightWitness(2, (0.5, 1.9), (0, 1), (0, 1))
+    with pytest.raises(InvalidValueError):
+        TightWitness(2.0, (0, 1), (0, 1), (0, 1))
+
+
 def test_empty_support_vacuous():
     assert check_tight_witness(Support.of(2, []), TightWitness(2, (0, 1), (5, 7), (2, 3)))
 

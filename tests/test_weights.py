@@ -96,6 +96,16 @@ def test_positive_support_never_diagonal():
         assert all(not (i == j == k) for (i, j, k) in positive_support(tw))
 
 
+def test_torus_weight_refuses_floats_and_booleans():
+    # int() would read lambda = (1.5, -1.5) as (1, -1), a different certificate
+    with pytest.raises(InvalidValueError):
+        TorusWeight(2, (1.5, -1.5), (0, 0), (-1.5, 1.5))
+    with pytest.raises(InvalidValueError):
+        TorusWeight(2.0, (1, -1), (0, 0), (-1, 1))
+    with pytest.raises(InvalidValueError):
+        TorusWeight(1, (True,), (0,), (-1,))
+
+
 def test_certificate_unit_tensor_always_valid():
     rng = random.Random(6)
     for n in (1, 2, 4):
