@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InvalidValueError
-from .tensors import Support, Triple, json_int
+from .tensors import Support, Triple, _check_triple, json_int
 
 
 def duality_degree_cap(n):
@@ -39,12 +39,9 @@ class Monomial:
 
     def __post_init__(self):
         json_int(self.n)
-        factors = tuple(sorted(tuple(t) for t in self.factors))
+        factors = tuple(sorted(_check_triple(self.n, tuple(t)) for t in self.factors))
         if not factors:
             raise InvalidValueError("monomials must have positive degree")
-        for t in factors:
-            if len(t) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= self.n for v in t):
-                raise InvalidValueError(f"factor {t!r} outside [1, {self.n}]^3")
         object.__setattr__(self, "factors", factors)
 
     @property

@@ -13,35 +13,34 @@ scale leaves the row space unchanged):
 
 * the stabilizer of T is its kernel; for the unit tensor the kernel is the
   diagonal zero-sum algebra of dimension 2n (2n - 2 after dividing out the
-  two-dimensional scalar kernel of the action).  Its basis, like the cone
-  kernel below, comes from ``_split``: a one-term form forces its unknown
-  to 0, and only the other forms reach the RREF inside ``kernel_int``;
+  two-dimensional scalar kernel of the action);
 * the stabilizer of the cone spanned by the unit tensor and the staircase
   space W is the kernel of "act lands inside <unit, W>", a condition made
   linear by quantifying over the generators {unit} + basis of W.  W holds
   no diagonal triple, so <unit, W> is the set of tensors v with v_c = 0
   for every coordinate c outside W + diag and v_(1,1,1) = ... = v_(n,n,n):
   each generator contributes its image at those coordinates and its image
-  at (i,i,i) minus its image at (1,1,1).  Split the same way, the
-  condition is the triangular shape (the 3n(n-1)/2 entries of x above the
-  diagonal and of y and z below it vanish, each forced by a one-term form)
-  plus n - 1 trace rows on the 3n diagonal entries, so the gl^3-level
-  kernel has dimension 3n^2 - 3n(n-1)/2 - (n-1) and the quotient
-  (3n^2 + n - 2)/2;
+  at (i,i,i) minus its image at (1,1,1).  The condition is the triangular
+  shape (the 3n(n-1)/2 entries of x above the diagonal and of y and z
+  below it vanish, each forced by a one-term form) plus n - 1 trace rows
+  on the 3n diagonal entries, so the gl^3-level kernel has dimension
+  3n^2 - 3n(n-1)/2 - (n-1) and the quotient (3n^2 + n - 2)/2;
 * tangent-space ranks at a sampled point unit + w, w generic in W, recover
   the dimension count (dim G) - (dim G_cone) + (dim cone) of the orbit of
   the cone, whose closed form is (2n^3 + 3n^2 - 2n - 3)/3.  The tangent
   space is act(gl^3, unit + w) + <unit, W>, and the |W| unit vectors of W
   are removed with their columns: rank = |W| + rank(rest), where rest is
   the coordinate forms outside W with one extra column for the unit
-  tensor.  That rank, and the two action ranks above, go through
-  structured elimination (``_rank_forms``): a column held by one row, or a
-  row holding one column, is a pivot read off the sparsity pattern, and
-  only the residue is reduced by ``rank_int``.  Both peel rules are exact
-  over Q: no combination of the other rows can cancel a column that only
-  one row holds, and a one-entry row clears its column from every other
-  row by a row operation.  For the tangent the residue is empty at every
-  n tried, up to 30.
+  tensor.
+
+Every rank and kernel goes through one structured elimination
+(LaMacchia & Odlyzko 1990).  ``_split`` peels one-term forms to a fixed
+point: each forces its unknown to 0 and is deleted from the other forms,
+which may leave new one-term forms.  Ranks (``_rank_forms``) then peel the
+rows that alone hold a column, and only the residue reaches ``rank_int``;
+kernels (``_kernel_forms``) send what ``_split`` leaves to ``kernel_int``.
+For the cone and the tangent at every n tried, up to 30, the residue is
+empty.
 
 Dimensions come in two conventions: the raw gl^3 level and the faithful
 quotient (subtract 2 for the scalar pairs (a, b, -a-b) acting trivially).
@@ -72,12 +71,15 @@ class LieTriple:
 
     def __post_init__(self):
         json_int(self.n)
-        # one Fraction per distinct entry: kernel vectors repeat few values
+        # one Fraction per distinct entry: kernel vectors repeat few values.
+        # Only an int reads the cache, as True and 1.0 hash like 1.
         shared = {}
         for name in ("x", "y", "z"):
             mat = tuple(
                 tuple(
-                    v if type(v) is Fraction else shared[v] if v in shared else shared.setdefault(v, rational(v))
+                    v
+                    if type(v) is Fraction
+                    else shared[v] if type(v) is int and v in shared else shared.setdefault(v, rational(v))
                     for v in row
                 )
                 for row in getattr(self, name)
@@ -157,97 +159,95 @@ def _dense(forms, width):
     return rows
 
 
-def _rank_forms(forms):
-    """Rank over Q of sparse integer rows {column: coefficient}, by
-    structured elimination: peel pivots read off the sparsity pattern to a
-    fixed point, then rank the residue with ``rank_int``.
-
-    * A column held by exactly one row makes that row a pivot: no other row
-      can cancel its entry there, so the row is independent of the rest.
-    * A row holding exactly one column c is a pivot too: it clears column c
-      from every other row by a row operation, so the rank is one more than
-      that of the other rows with column c deleted.
-
-    ``rank_int`` is called exactly once, on the residue, even when it is
-    empty."""
-    rows, holders = {}, {}
-    for form in forms:
-        row = {c: v for c, v in form.items() if v}
-        if row:
-            r = len(rows)
-            rows[r] = row
-            for c in row:
-                holders.setdefault(c, set()).add(r)
-    lone_cols = [c for c, held in holders.items() if len(held) == 1]
-    unit_rows = [r for r, row in rows.items() if len(row) == 1]
-
-    def drop(r):
-        for c in rows.pop(r):
-            held = holders[c]
-            held.discard(r)
-            if len(held) == 1:
-                lone_cols.append(c)
-            elif not held:
-                del holders[c]
-
-    rank = 0
-    while lone_cols or unit_rows:
-        if lone_cols:
-            held = holders.get(lone_cols.pop(), ())
-            if len(held) == 1:
-                rank += 1
-                drop(next(iter(held)))
-            continue
-        r = unit_rows.pop()
-        if len(rows.get(r, ())) == 1:
-            (c,) = rows[r]
-            rank += 1
-            drop(r)
-            for s in holders.pop(c, ()):
-                row = rows[s]
-                del row[c]
-                if len(row) == 1:
-                    unit_rows.append(s)
-                elif not row:
-                    del rows[s]
-    pos = {c: i for i, c in enumerate(sorted(holders))}
-    return rank + rank_int(_dense(({pos[c]: v for c, v in row.items()} for row in rows.values()), len(pos)))
+def _compact(rows):
+    """The sorted columns that sparse rows ((column, coefficient), ...)
+    touch, and the rows as dense integer lists over those columns."""
+    cols = sorted({c for row in rows for c, _ in row})
+    pos = {c: i for i, c in enumerate(cols)}
+    return cols, _dense(({pos[c]: v for c, v in row} for row in rows), len(cols))
 
 
 def _split(forms):
-    """Split sparse integer forms {unknown: coefficient} into (zero, cols,
-    rows).  No form may hold a zero coefficient, or it would pass for more
-    terms than it has.  A one-term form forces its unknown to 0; ``zero``
-    lists those unknowns.  The other forms, with the ``zero`` unknowns
-    dropped and duplicates removed, are the integer ``rows``, dense over the
-    sorted unknowns ``cols`` that they touch.  The system's row space is
-    span{e_u : u in zero} + rowspace(rows) on disjoint columns."""
-    zero, multi = set(), []
+    """Peel the one-term rows of sparse integer forms {unknown:
+    coefficient} to a fixed point and return (zero, rows).
+
+    Zero coefficients are dropped.  A one-term form puts e_u in the row
+    space, forcing u to 0, and subtracting multiples of it deletes u from
+    every other form, which may leave new one-term forms; a column -> rows
+    index finds them.  ``zero`` lists the forced unknowns, sorted; ``rows``
+    are the other forms as tuples of (unknown, coefficient) pairs, sorted
+    and deduplicated, none touching ``zero``.  The row space is span{e_u :
+    u in zero} + rowspace(rows) on disjoint columns, so the RREF is the
+    rows e_u beside the RREF of ``rows``: the rank is len(zero) plus that
+    of ``rows``, and the canonical ``kernel_int`` basis splits the same
+    way."""
+    rows, holders, zero = [], {}, set()
     for form in forms:
-        if len(form) == 1:
-            zero.update(form)
-        elif form:
-            multi.append(form)
-    kept = {tuple(sorted((unk, v) for unk, v in form.items() if unk not in zero)) for form in multi}
-    kept.discard(())
-    cols = sorted({unk for form in kept for unk, _ in form})
-    pos = {unk: i for i, unk in enumerate(cols)}
-    rows = _dense(({pos[unk]: v for unk, v in form} for form in sorted(kept)), len(cols))
-    return sorted(zero), cols, rows
+        row = {c: v for c, v in form.items() if v} if len(form) > 1 else form
+        if len(row) > 1:
+            for c in row:
+                holders.setdefault(c, set()).add(len(rows))
+            rows.append(row)
+        elif 0 not in row.values():
+            zero.update(row)
+    pending = list(zero)
+    while pending:
+        c = pending.pop()
+        for s in holders.pop(c, ()):
+            row = rows[s]
+            del row[c]
+            if len(row) == 1 and not zero.issuperset(row):
+                zero.update(row)
+                pending += row
+    return sorted(zero), sorted({tuple(sorted(row.items())) for row in rows if row})
+
+
+def _rank_forms(forms):
+    """Rank over Q of sparse integer rows {column: coefficient}: len(zero)
+    from ``_split``, plus one for each row of ``rows`` that alone holds a
+    column (no other row can cancel that entry), peeled to a fixed point,
+    plus ``rank_int`` of the residue, called once even when it is empty.
+
+    The two peels are independent.  A unit-row peel deletes its column and
+    drops only rows that held nothing else, so no other column loses a
+    holder; a lone-column peel drops a whole row and leaves no one-term
+    row.  One after the other reaches the fixed point of both."""
+    zero, rows = _split(forms)
+    holders = {}
+    for r, row in enumerate(rows):
+        for c, _ in row:
+            holders.setdefault(c, set()).add(r)
+    lone_cols = [c for c, held in holders.items() if len(held) == 1]
+    rank = len(zero)
+    while lone_cols:
+        held = holders.get(lone_cols.pop())
+        if held:
+            (r,) = held
+            rank += 1
+            for c, _ in rows[r]:
+                held = holders[c]
+                held.remove(r)
+                if len(held) == 1:
+                    lone_cols.append(c)
+                elif not held:
+                    del holders[c]
+            rows[r] = ()
+    return rank + rank_int(_compact([row for row in rows if row])[1])
 
 
 def _kernel_forms(forms, width):
-    """``kernel_int`` of the dense rows of ``_split``'s forms over ``width``
-    unknowns: their RREF is the unit rows of ``zero`` beside the RREF of
-    ``rows``.  An unknown in neither part is free and gives e_u; the kernel
-    of ``rows``, embedded at ``cols``, gives the rest.  Each vector's free
-    column is its last nonzero entry, and the basis is in free-column order."""
-    zero, cols, rows = _split(forms)
+    """``kernel_int`` of the dense rows of ``forms`` over ``width``
+    unknowns, from ``_split``'s parts: an unknown in neither ``zero`` nor
+    the columns of ``rows`` is free and gives e_u; the kernel of ``rows``,
+    embedded at their columns, gives the rest.  Each vector's free column
+    is its last nonzero entry, and the basis is in free-column order."""
+    zero, rows = _split(forms)
+    cols, dense = _compact(rows)
     by_free = {}
     for u in set(range(width)).difference(zero, cols):
         by_free[u] = [0] * width
         by_free[u][u] = 1
-    for part in kernel_int(rows, len(cols)):
+    for part in kernel_int(dense, len(cols)):
         vec = [0] * width
         for c, v in zip(cols, part):
             vec[c] = v
@@ -293,7 +293,7 @@ def _cone_forms(n):
     (the unit tensor and e_w, w in W)" as sparse integer forms over the
     3n^2 unknowns: each generator contributes the forms of its image at
     every coordinate outside W + diag and of its image at (i,i,i) minus its
-    image at (1,1,1), i >= 2, with zero coefficients dropped."""
+    image at (1,1,1), i >= 2."""
     W = build_W(n, "W")
     origin = _coord_index(n, (1, 1, 1))
     rest = [_coord_index(n, (i, i, i)) for i in range(2, n + 1)]
@@ -309,7 +309,7 @@ def _cone_forms(n):
                 form = dict(amap.get(c, {}))
                 for unk, v in at_origin.items():
                     form[unk] = form.get(unk, 0) - v
-                forms.append({unk: v for unk, v in form.items() if v})
+                forms.append(form)
     return forms
 
 
@@ -317,8 +317,7 @@ def cone_stabilizer_dim(n) -> int:
     """Faithful-quotient dimension (3n^2 + n - 2)/2 of the algebra
     preserving the cone over the unit tensor and W; the gl^3-level kernel
     is two bigger."""
-    zero, _, rows = _split(_cone_forms(n))
-    return 3 * n * n - len(zero) - rank_int(rows) - ACTION_KERNEL_DIM
+    return 3 * n * n - _rank_forms(_cone_forms(n)) - ACTION_KERNEL_DIM
 
 
 @dataclass(frozen=True)

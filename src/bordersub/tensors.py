@@ -55,10 +55,11 @@ def json_int(value):
 
 
 def rational(value):
-    """value as an exact Fraction.  A float raises InvalidValueError:
-    Fraction(0.1) keeps its binary expansion 3602879701896397/2^55."""
-    if isinstance(value, float):
-        raise InvalidValueError(f"{value!r} is a float, not an exact rational")
+    """value as an exact Fraction.  A float or a bool raises
+    InvalidValueError: Fraction(0.1) keeps its binary expansion
+    3602879701896397/2^55, and Fraction(True) is 1."""
+    if isinstance(value, (float, bool)):
+        raise InvalidValueError(f"{value!r} is a {type(value).__name__}, not an exact rational")
     return Fraction(value)
 
 

@@ -297,6 +297,13 @@ def test_json_loaders_reject_non_integers(tmp_path, capsys, argv, flag, payload)
     assert err.startswith("error: ")
 
 
+def test_invariants_check_rejects_factor_out_of_range(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"n": 2, "factors": [[1, 1, 1], [1, 1, 3]]})
+    code, out, err = run(capsys, "invariants", "check", "--monomial", path)
+    assert (code, out) == (2, "")
+    assert "triple (1, 1, 3) outside [1, 2]^3" in err
+
+
 def test_reproduce_n1(capsys):
     code, out, err = run(capsys, "reproduce", "--n-max", "1")
     assert code == 0

@@ -29,6 +29,13 @@ def test_monomial_refuses_boolean_index():
         Monomial(2.0, ((1, 1, 1),))
 
 
+def test_monomial_refuses_factor_out_of_range():
+    with pytest.raises(InvalidValueError, match=r"triple \(1, 1, 3\) outside \[1, 2\]\^3"):
+        Monomial(2, ((1, 1, 1), (1, 1, 3)))
+    with pytest.raises(InvalidValueError):
+        Monomial(2, ((1, 1),))
+
+
 def test_factors_stored_sorted():
     m = Monomial(3, ((3, 1, 2), (1, 2, 3)))
     assert m.factors == ((1, 2, 3), (3, 1, 2))

@@ -280,7 +280,7 @@ def test_cone_condition_split():
 
     for n in range(1, 11):
         nn = n * n
-        zero, cols, rows = _split(_cone_forms(n))
+        zero, rows = _split(_cone_forms(n))
         triangular = sorted(
             [p * n + q for p in range(n) for q in range(p + 1, n)]
             + [off + p * n + q for off in (nn, 2 * nn) for p in range(n) for q in range(p)]
@@ -288,6 +288,7 @@ def test_cone_condition_split():
         assert zero == triangular and len(zero) == 3 * n * (n - 1) // 2
         # at n = 1 there is no trace row, and the three unknowns stay free
         diagonal = sorted(off + d * (n + 1) for off in (0, nn, 2 * nn) for d in range(n))
+        cols = sorted({unk for row in rows for unk, _ in row})
         assert len(rows) == n - 1 and cols == (diagonal if n > 1 else [])
     for n in range(2, 9):
         full = _full_cone_rows(n)
@@ -324,7 +325,9 @@ def test_reproduce_tangent_checks_n5():
 @hs.composite
 def sparse_forms(draw):
     """Sparse integer forms with explicit zero coefficients, empty forms,
-    duplicate rows and one-entry rows sharing a column."""
+    duplicate rows, one-entry rows sharing a column, and a chain
+    {u0}, {u0, u1}, {u1, u2}, ... where each peeled unit row leaves the
+    next one-term row."""
     width = draw(hs.integers(1, 7))
     coef = hs.integers(-3, 3)
     forms = draw(hs.lists(hs.dictionaries(hs.integers(0, width - 1), coef, max_size=width), max_size=9))
@@ -332,22 +335,42 @@ def sparse_forms(draw):
         forms += draw(hs.lists(hs.sampled_from(forms), max_size=3))
     shared = draw(hs.integers(0, width - 1))
     forms += [{shared: draw(coef)} for _ in range(draw(hs.integers(0, 3)))]
-    return width, draw(hs.permutations(forms))
+    chain = draw(hs.lists(hs.integers(0, width - 1), unique=True, max_size=width))
+    nonzero = coef.filter(bool)
+    forms += [{u: draw(nonzero) for u in chain[max(i - 1, 0) : i + 1]} for i in range(len(chain))]
+    return width, chain, draw(hs.permutations(forms))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sparse_forms())
 def test_rank_forms_matches_dense_rank(case):
     from bordersub.linalg import kernel_int, rank_int
-    from bordersub.stabilizer import _dense, _kernel_forms, _rank_forms
+    from bordersub.stabilizer import _dense, _kernel_forms, _rank_forms, _split
 
-    width, forms = case
+    width, chain, forms = case
     dense = _dense(forms, width)
     transpose = [{r: row[c] for r, row in enumerate(dense)} for c in range(width)]
     assert _rank_forms(forms) == rank_int(dense)
     assert _rank_forms(transpose) == rank_int(dense)
-    nonzero = [{c: v for c, v in form.items() if v} for form in forms]
-    assert _kernel_forms(nonzero, width) == kernel_int(dense, width)
+    assert _kernel_forms(forms, width) == kernel_int(dense, width)
+    zero, rows = _split(forms)
+    assert set(chain) <= set(zero)
+    assert all(len(row) > 1 and not set(zero) & {c for c, _ in row} for row in rows)
+
+
+def test_stabilizer_basis_of_sampled_staircase_point():
+    # unit + w, w sampled on W(6): the cascade forces 45 unknowns and
+    # leaves a 131 x 63 residue, so the basis comes from both parts
+    from bordersub.linalg import kernel_int
+    from bordersub.stabilizer import _action_map, _compact, _dense, _split
+    from bordersub.tensors import integer_entries
+
+    T = unit_tensor(6) + Tensor3(6, sample_coefficients(build_W(6, "W"), 0))
+    forms = _action_map(6, integer_entries(T)).values()
+    zero, rows = _split(forms)
+    assert (len(zero), len(rows), len(_compact(rows)[0])) == (45, 131, 63)
+    dense = _dense(forms, 3 * 36)
+    assert [lt.flat() for lt in stabilizer_basis(T)] == kernel_int(dense, 3 * 36)
 
 
 def test_bound_values():
@@ -375,6 +398,18 @@ def test_lie_triple_refuses_floats():
     with pytest.raises(InvalidValueError):
         LieTriple(1.0, ((0,),), ((0,),), ((0,),))
     assert LieTriple(1, ((Fraction(1, 10),),), ((0,),), ((0,),)).x == ((Fraction(1, 10),),)
+
+
+def test_lie_triple_refuses_booleans():
+    with pytest.raises(InvalidValueError):
+        LieTriple(1, ((True,),), ((0,),), ((0,),))
+    # an integer 1 seen first must not let True through as the same entry
+    with pytest.raises(InvalidValueError):
+        LieTriple(1, ((1,),), ((True,),), ((0,),))
+    with pytest.raises(InvalidValueError):
+        LieTriple(1, ((1,),), ((1.0,),), ((0,),))
+    with pytest.raises(InvalidValueError):
+        LieTriple.zero(1).scale(False)
 
 
 def test_act_dimension_mismatch():

@@ -218,6 +218,14 @@ def test_tensor_refuses_floats():
     assert Tensor3(2, {(1, 1, 1): "1/10"}).entries == {(1, 1, 1): Fraction(1, 10)}
 
 
+def test_tensor_refuses_boolean_coefficients():
+    # Fraction(True) is 1: a boolean would be read as a coefficient
+    with pytest.raises(InvalidValueError):
+        Tensor3(1, {(1, 1, 1): True})
+    with pytest.raises(InvalidValueError):
+        Tensor3(1, {(1, 1, 1): Fraction(1)}).scale(True)
+
+
 def test_support_refuses_boolean_index():
     with pytest.raises(InvalidValueError):
         Support.of(2, [(1, 1, True)])
