@@ -5,11 +5,12 @@ The derivative action is the Leibniz rule
     (x, y, z) . T = x.T + y.T + z.T     (each factor acting on its slot),
 
 a linear map from the 3n^2-dimensional algebra to the n^3-dimensional
-tensor space once T is fixed.  ``_action_map`` builds that map once, as
-coordinate -> {unknown: coefficient}; ``act`` evaluates it on T's exact
-entries, and every rank and kernel below is integer linear algebra on it,
-built from T's entries with their denominators cleared (a common positive
-scale leaves the row space unchanged):
+tensor space once T is fixed.  ``_action_map`` builds that map as
+coordinate -> {unknown: coefficient}, at only the coordinates a system
+keeps; ``act`` evaluates it on T's exact entries, and every rank and kernel
+below is integer linear algebra on it, built from T's entries with their
+denominators cleared (a common positive scale leaves the row space
+unchanged):
 
 * the stabilizer of T is its kernel; for the unit tensor the kernel is the
   diagonal zero-sum algebra of dimension 2n (2n - 2 after dividing out the
@@ -20,9 +21,11 @@ scale leaves the row space unchanged):
   no diagonal triple, so <unit, W> is the set of tensors v with v_c = 0
   for every coordinate c outside W + diag and v_(1,1,1) = ... = v_(n,n,n):
   each generator contributes its image at those coordinates and its image
-  at (i,i,i) minus its image at (1,1,1).  The condition is the triangular
-  shape (the 3n(n-1)/2 entries of x above the diagonal and of y and z
-  below it vanish, each forced by a one-term form) plus n - 1 trace rows
+  at (i,i,i) minus its image at (1,1,1).  A generator e_w gives one-term
+  forms only, so its forced unknowns are listed once, without a map.  The
+  condition is the triangular shape (the 3n(n-1)/2 entries of x above the
+  diagonal and of y and z below it vanish, each forced by a one-term form;
+  the unit generator alone forces them all) plus n - 1 trace rows
   on the 3n diagonal entries, so the gl^3-level kernel has dimension
   3n^2 - 3n(n-1)/2 - (n-1) and the quotient (3n^2 + n - 2)/2;
 * tangent-space ranks at a sampled point unit + w, w generic in W, recover
@@ -30,8 +33,8 @@ scale leaves the row space unchanged):
   the cone, whose closed form is (2n^3 + 3n^2 - 2n - 3)/3.  The tangent
   space is act(gl^3, unit + w) + <unit, W>, and the |W| unit vectors of W
   are removed with their columns: rank = |W| + rank(rest), where rest is
-  the coordinate forms outside W with one extra column for the unit
-  tensor.
+  the coordinate forms outside W, the only ones the map writes, with one
+  extra column for the unit tensor.
 
 Every rank and kernel goes through one structured elimination
 (LaMacchia & Odlyzko 1990).  ``_split`` peels one-term forms to a fixed
@@ -39,7 +42,7 @@ point: each forces its unknown to 0 and is deleted from the other forms,
 which may leave new one-term forms.  Ranks (``_rank_forms``) then peel the
 rows that alone hold a column, and only the residue reaches ``rank_int``;
 kernels (``_kernel_forms``) send what ``_split`` leaves to ``kernel_int``.
-For the cone and the tangent at every n tried, up to 30, the residue is
+For the cone and the tangent at every n tried, up to 50, the residue is
 empty.
 
 Dimensions come in two conventions: the raw gl^3 level and the faithful
@@ -120,26 +123,30 @@ class LieTriple:
         return LieTriple(self.n, mul(self.x), mul(self.y), mul(self.z))
 
 
-def _action_map(n, entries):
+def _action_map(n, entries, skip=frozenset()):
     """The linear map lt -> act(lt, T) as coordinate index -> {unknown:
     coefficient}, for the tensor T of format n with the given entries
-    {triple: value}; the only place the Leibniz terms are enumerated.
+    {triple: value}, at every coordinate not in ``skip``; the only place the
+    Leibniz terms of a general tensor are enumerated.
 
     Coordinate (i, j, k) has index (i-1)n^2 + (j-1)n + (k-1); unknowns are
     positions in LieTriple.flat(), so entry (p, q) of x, y, z is unknown
-    (p-1)n + (q-1) plus 0, n^2, 2n^2."""
+    (p-1)n + (q-1) plus 0, n^2, 2n^2.  An entry at (i, j, k) gives, for
+    each p, the term of x's (p, i) at (p, j, k), of y's (p, j) at (i, p, k)
+    and of z's (p, k) at (i, j, p): three lines through the cube."""
     nn = n * n
     amap = {}
     for (i, j, k), c in entries.items():
         i, j, k = i - 1, j - 1, k - 1
-        for p in range(n):
-            for coord, unk in (
-                (p * nn + j * n + k, p * n + i),
-                (i * nn + p * n + k, nn + p * n + j),
-                (i * nn + j * n + p, 2 * nn + p * n + k),
-            ):
-                form = amap.setdefault(coord, {})
-                form[unk] = form.get(unk, 0) + c
+        for coords, unks in (
+            (range(j * n + k, n * nn, nn), range(i, nn, n)),
+            (range(i * nn + k, (i + 1) * nn, n), range(nn + j, 2 * nn, n)),
+            (range(i * nn + j * n, i * nn + j * n + n), range(2 * nn + k, 3 * nn, n)),
+        ):
+            for coord, unk in zip(coords, unks):
+                if coord not in skip:
+                    form = amap.setdefault(coord, {})
+                    form[unk] = form.get(unk, 0) + c
     return amap
 
 
@@ -293,24 +300,53 @@ def _cone_forms(n):
     (the unit tensor and e_w, w in W)" as sparse integer forms over the
     3n^2 unknowns: each generator contributes the forms of its image at
     every coordinate outside W + diag and of its image at (i,i,i) minus its
-    image at (1,1,1), i >= 2."""
+    image at (1,1,1), i >= 2.
+
+    Only the unit generator gives forms of more than one term.  For w =
+    (i, j, k) in W, the image of e_w has 3n Leibniz terms, one per unknown
+    x_pi, y_pj, z_pk, on the three lines through w: at (p, j, k), (i, p, k)
+    and (i, j, p) (see ``_action_map``).  The lines meet only at w, so the
+    terms land on distinct coordinates except the three that land on w
+    itself, and w is in W.  At most one lands on the diagonal: (p, j, k)
+    only if j = k, (i, p, k) only if i = k, (i, j, p) only if i = j, and an
+    off-diagonal w has at most one equal pair.  So every term outside W is
+    alone at its coordinate and gives a one-term form, off the diagonal
+    directly and on it through the difference with (1,1,1), where e_w has
+    no other term.  Each forces its unknown, so the e_w generators come
+    down to one form {u: 1} per distinct unknown u with a term outside W,
+    listed once.  Unknown (p, q) of the s-th factor is such a u when some w
+    in W has q in slot s and the point at position p of its slot-s line
+    lies outside W; bitmasks over the lines find them without writing a
+    term.
+    """
     W = build_W(n, "W")
-    origin = _coord_index(n, (1, 1, 1))
-    rest = [_coord_index(n, (i, i, i)) for i in range(2, n + 1)]
-    skip = {_coord_index(n, t) for t in W} | {origin} | set(rest)
-    forms = []
-    unit = {(i, i, i): 1 for i in range(1, n + 1)}
-    for g in [unit] + [{t: 1} for t in W.sorted_triples()]:
-        amap = _action_map(n, g)
-        at_origin = amap.get(origin, {})
-        forms += [form for c, form in amap.items() if c not in skip]
-        for c in rest:
-            if at_origin or c in amap:
-                form = dict(amap.get(c, {}))
-                for unk, v in at_origin.items():
-                    form[unk] = form.get(unk, 0) - v
-                forms.append(form)
-    return forms
+    nn = n * n
+    in_W = {_coord_index(n, t) for t in W}
+    # outside[s][line]: bit p set when position p of the slot-s line whose
+    # other two indices are ``line`` lies outside W
+    outside = [[0] * nn for _ in range(3)]
+    for c in range(n * nn):
+        if c not in in_W:
+            i, j, k = c // nn, c // n % n, c % n
+            outside[0][j * n + k] |= 1 << i
+            outside[1][i * n + k] |= 1 << j
+            outside[2][i * n + j] |= 1 << k
+    # forced[s][q]: bit p set when unknown (p, q) of the s-th factor is forced
+    forced = [[0] * n for _ in range(3)]
+    for i, j, k in W.triples:
+        i, j, k = i - 1, j - 1, k - 1
+        forced[0][i] |= outside[0][j * n + k]
+        forced[1][j] |= outside[1][i * n + k]
+        forced[2][k] |= outside[2][i * n + j]
+    forms = [{s * nn + p * n + q: 1} for s in range(3) for q in range(n) for p in range(n) if forced[s][q] >> p & 1]
+    amap = _action_map(n, {(i, i, i): 1 for i in range(1, n + 1)}, in_W)
+    origin = amap.pop(_coord_index(n, (1, 1, 1)))
+    for i in range(2, n + 1):
+        form = amap.pop(_coord_index(n, (i, i, i)))
+        for unk, v in origin.items():
+            form[unk] = form.get(unk, 0) - v
+        forms.append(form)
+    return forms + list(amap.values())
 
 
 def cone_stabilizer_dim(n) -> int:
@@ -422,10 +458,10 @@ def orbit_cone_tangent_dim(n, seed) -> TangentReport:
         # are the integer entries of unit + w
         entries = dict(diag)
         entries.update((t, int(c)) for t, c in sample_coefficients(W, s).items())
-        amap = _action_map(n, entries)
+        amap = _action_map(n, entries, in_W)
         for t in diag:
             amap[_coord_index(n, t)][3 * n * n] = 1
-        value = len(W) + _rank_forms(form for c, form in amap.items() if c not in in_W) - 1
+        value = len(W) + _rank_forms(amap.values()) - 1
         attempts.append((s, value))
         best = max(best, value)
         if best == expected:

@@ -39,9 +39,13 @@ W_VARIANTS = ("W", "W'", "W''")
 
 
 def _check_triple(n, t):
-    if len(t) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n for v in t):
-        raise InvalidValueError(f"triple {t!r} outside [1, {n}]^3")
-    return (t[0], t[1], t[2])
+    """t as a tuple of three int indices in [1, n].  Anything else raises
+    InvalidValueError, a bool index included: True would read as 1."""
+    if len(t) == 3:
+        i, j, k = t
+        if type(i) is type(j) is type(k) is int and 0 < i <= n and 0 < j <= n and 0 < k <= n:
+            return (i, j, k)
+    raise InvalidValueError(f"triple {t!r} outside [1, {n}]^3")
 
 
 def json_int(value):
@@ -233,10 +237,7 @@ class Symmetry:
 
     def __call__(self, t):
         """The image of the triple t: sigma(t[p]) in position slots[p]."""
-        i, j, k = t
-        n = self.n
-        if not (0 < i <= n and 0 < j <= n and 0 < k <= n):
-            raise InvalidValueError(f"triple {t!r} outside [1, {n}]^3")
+        i, j, k = _check_triple(self.n, t)
         sigma, (a, b, c) = self.sigma, self.slots
         u = [0, 0, 0]
         u[a], u[b], u[c] = sigma[i - 1], sigma[j - 1], sigma[k - 1]

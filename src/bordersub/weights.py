@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, InvalidValueError
-from .tensors import Support, Tensor3, Triple, json_int
+from .tensors import Support, Tensor3, Triple, _check_triple, json_int
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class TorusWeight:
 
 def weight_of(tw: TorusWeight, triple: Triple) -> int:
     """lambda_i + mu_j + nu_k.  Zero on the diagonal by the zero-sum rule."""
-    i, j, k = triple
-    if not all(1 <= v <= tw.n for v in (i, j, k)):
-        raise InvalidValueError(f"triple {triple!r} outside [1, {tw.n}]^3")
+    i, j, k = _check_triple(tw.n, triple)
     return tw.lam[i - 1] + tw.mu[j - 1] + tw.nu[k - 1]
 
 

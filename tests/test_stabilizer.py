@@ -245,10 +245,11 @@ def test_cone_structure_reports_planted_violations(monkeypatch):
     assert rep.basis[0].z[1][0] == 1 and rep.dim_full == 2
 
 
-def _full_cone_rows(n):
-    """The unsplit cone condition as dense rows over the 3n^2 unknowns, for
-    each generator g: act(g) at every coordinate outside W + diag, and
-    act(g) at (i,i,i) minus act(g) at (1,1,1) for i >= 2."""
+def _full_cone_forms(n):
+    """The unsplit cone condition as one list of sparse forms over the 3n^2
+    unknowns per generator g, the unit tensor first and then e_w in sorted
+    order: act(g) at every coordinate outside W + diag, and act(g) at
+    (i,i,i) minus act(g) at (1,1,1) for i >= 2."""
     from bordersub.stabilizer import _action_map
 
     nn = n * n
@@ -256,7 +257,7 @@ def _full_cone_rows(n):
     W = build_W(n, "W")
     diag = [index((i, i, i)) for i in range(1, n + 1)]
     outside = set(range(n**3)) - {index(t) for t in W} - set(diag)
-    rows = []
+    per_generator = []
     for g in [{(i, i, i): 1 for i in range(1, n + 1)}] + [{t: 1} for t in W.sorted_triples()]:
         amap = _action_map(n, g)
         forms = [amap.get(c, {}) for c in sorted(outside)]
@@ -265,13 +266,26 @@ def _full_cone_rows(n):
             for unk, v in amap.get(diag[0], {}).items():
                 form[unk] = form.get(unk, 0) - v
             forms.append(form)
-        for form in forms:
-            row = [0] * (3 * nn)
-            for unk, v in form.items():
-                row[unk] = v
-            if any(row):
-                rows.append(row)
-    return rows
+        per_generator.append(forms)
+    return per_generator
+
+
+def _full_cone_rows(n):
+    """The nonzero forms of ``_full_cone_forms`` as dense rows."""
+    from bordersub.stabilizer import _dense
+
+    forms = [form for per_generator in _full_cone_forms(n) for form in per_generator]
+    return [row for row in _dense(forms, 3 * n * n) if any(row)]
+
+
+def test_cone_forms_match_per_generator_forms():
+    from bordersub.stabilizer import _cone_forms, _split
+
+    for n in range(1, 11):
+        unit, *singles = _full_cone_forms(n)
+        # the _cone_forms argument: an e_w generator gives one-term forms only
+        assert all(len(form) <= 1 for forms in singles for form in forms)
+        assert _split(_cone_forms(n)) == _split(unit + [form for forms in singles for form in forms])
 
 
 def test_cone_condition_split():
@@ -308,7 +322,7 @@ def test_non_integral_stabilizers_pinned():
 
 
 def test_closed_forms_above_n8():
-    for n in (9, 10):
+    for n in (9, 10, 16, 20, 30):
         assert cone_stabilizer_dim(n) == (3 * n * n + n - 2) // 2
     for n in (9, 10, 12, 16, 20):
         assert orbit_cone_tangent_dim(n, 0).value == qmax_dimension_bound(n)
@@ -356,6 +370,26 @@ def test_rank_forms_matches_dense_rank(case):
     zero, rows = _split(forms)
     assert set(chain) <= set(zero)
     assert all(len(row) > 1 and not set(zero) & {c for c, _ in row} for row in rows)
+
+
+@hs.composite
+def tensors_and_skips(draw):
+    """An integer tensor of format n = 1..5 as {triple: value} and a set of
+    coordinate indices to leave out."""
+    n = draw(hs.integers(1, 5))
+    index = hs.integers(1, n)
+    entries = draw(hs.dictionaries(hs.tuples(index, index, index), hs.integers(-3, 3), max_size=2 * n))
+    return n, entries, draw(hs.sets(hs.integers(0, n**3 - 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tensors_and_skips())
+def test_action_map_leaves_out_skipped_coordinates(case):
+    from bordersub.stabilizer import _action_map
+
+    n, entries, skip = case
+    full = _action_map(n, entries)
+    assert _action_map(n, entries, skip) == {c: form for c, form in full.items() if c not in skip}
 
 
 def test_stabilizer_basis_of_sampled_staircase_point():

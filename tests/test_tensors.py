@@ -264,6 +264,10 @@ def test_permutation_validation():
         Symmetry(3, (1, 1, 2))
     with pytest.raises(InvalidValueError):
         Symmetry(3, (1, 2, 3), (0, 0, 1))
+    # a triple outside [1, n]^3; True would read as index 1 and map to (1, 1, 2)
+    for t in ((True, 1, 2), (3, 1, 1), (1, 0, 1), (1, 1)):
+        with pytest.raises(InvalidValueError):
+            Symmetry.all(2)[0](t)
 
 
 def test_sample_coefficients_deterministic_and_nonzero():

@@ -161,8 +161,10 @@ def test_certificate_dimension_mismatch():
 
 
 def test_weight_out_of_range():
-    with pytest.raises(InvalidValueError):
-        weight_of(binary_cocharacter(2), (1, 3, 1))
+    # True would read as index 1 and give weight 0
+    for t in ((1, 3, 1), (0, 1, 1), (True, 1, 1), (1, 1)):
+        with pytest.raises(InvalidValueError):
+            weight_of(binary_cocharacter(2), t)
 
 
 def test_certificate_json_round_trip():
