@@ -6,44 +6,60 @@ The derivative action is the Leibniz rule
 
 a linear map from the 3n^2-dimensional algebra to the n^3-dimensional
 tensor space once T is fixed.  ``_action_map`` builds that map as
-coordinate -> {unknown: coefficient}, at only the coordinates a system
-keeps; ``act`` evaluates it on T's exact entries, and every rank and kernel
-below is integer linear algebra on it, built from T's entries with their
-denominators cleared (a common positive scale leaves the row space
-unchanged):
+coordinate -> {unknown: coefficient}; ``act`` evaluates it on T's exact
+entries.  The stabilizer of T is its kernel, computed in integer linear
+algebra from T's entries with their denominators cleared (a common positive
+scale leaves the row space unchanged); for the unit tensor it is the
+diagonal zero-sum algebra of dimension 2n (2n - 2 after dividing out the
+two-dimensional scalar kernel of the action).
 
-* the stabilizer of T is its kernel; for the unit tensor the kernel is the
-  diagonal zero-sum algebra of dimension 2n (2n - 2 after dividing out the
-  two-dimensional scalar kernel of the action);
-* the stabilizer of the cone spanned by the unit tensor and the staircase
-  space W is the kernel of "act lands inside <unit, W>", a condition made
-  linear by quantifying over the generators {unit} + basis of W.  W holds
-  no diagonal triple, so <unit, W> is the set of tensors v with v_c = 0
-  for every coordinate c outside W + diag and v_(1,1,1) = ... = v_(n,n,n):
-  each generator contributes its image at those coordinates and its image
-  at (i,i,i) minus its image at (1,1,1).  A generator e_w gives one-term
-  forms only, so its forced unknowns are listed once, without a map.  The
-  condition is the triangular shape (the 3n(n-1)/2 entries of x above the
-  diagonal and of y and z below it vanish, each forced by a one-term form;
-  the unit generator alone forces them all) plus n - 1 trace rows
-  on the 3n diagonal entries, so the gl^3-level kernel has dimension
-  3n^2 - 3n(n-1)/2 - (n-1) and the quotient (3n^2 + n - 2)/2;
-* tangent-space ranks at a sampled point unit + w, w generic in W, recover
-  the dimension count (dim G) - (dim G_cone) + (dim cone) of the orbit of
-  the cone, whose closed form is (2n^3 + 3n^2 - 2n - 3)/3.  The tangent
-  space is act(gl^3, unit + w) + <unit, W>, and the |W| unit vectors of W
-  are removed with their columns: rank = |W| + rank(rest), where rest is
-  the coordinate forms outside W, the only ones the map writes, with one
-  extra column for the unit tensor.
+The cone over the unit tensor and the staircase space W, and the tangent
+space of its orbit, come from one weight lemma, with no map.  Unknown
+(p, q) of a factor (x_pq, y_pq or z_pq) moves index q to p in its slot, so
+a term of an entry t at coordinate c has root weight weight(c) - weight(t)
+under any cocharacter.  The unit tensor has one term at each off-diagonal
+coordinate with two equal indices (x_pq at (p, q, q), y_pq at (q, p, q),
+z_pq at (q, q, p)) and x_ii + y_ii + z_ii at (i, i, i).  Let U be the
+unknowns of its terms at off-diagonal coordinates outside W, and
 
-Every rank and kernel goes through one structured elimination
-(LaMacchia & Odlyzko 1990).  ``_split`` peels one-term forms to a fixed
-point: each forces its unknown to 0 and is deleted from the other forms,
-which may leave new one-term forms.  Ranks (``_rank_forms``) then peel the
-rows that alone hold a column, and only the residue reaches ``rank_int``;
-kernels (``_kernel_forms``) send what ``_split`` leaves to ``kernel_int``.
-For the cone and the tangent at every n tried, up to 50, the residue is
-empty.
+  H1: ``binary_cocharacter(n)`` has weight >= 1 on every triple of W;
+  H2: every term of every e_w, w in W, at a coordinate outside W (the
+      diagonal included) carries an unknown of U.
+
+Lemma.  For every w on W, zero coefficients included, the coordinate forms
+of act(gl^3, unit + w) outside W, plus a column for the unit tensor at the
+diagonal, have rank |U| + n.
+
+Proof.  By H2 every w-term outside W lies on U, so the row at (i, i, i) is
+x_ii + y_ii + z_ii + unit column + terms on U, and x_ii is in no other row
+(H1 keeps the diagonal outside W, and U is off-diagonal).  These n rows
+add n to the rank of the others, which lie on U.  At each off-diagonal c outside W with a
+unit term, that term has coefficient 1 and root weight weight(c); a w-term
+at c has root weight weight(c) - weight(w), lower by H1.  Distinct c have
+distinct unit terms, so these |U| rows, in root-weight order, are
+triangular with unit pivots whatever the coefficients on W.
+
+``_unit_forced`` checks H1 and H2 by bitmasks and returns U: the 3n(n-1)/2
+entries of x above the diagonal and of y and z below it.  Hence:
+
+* the cone stabilizer is the kernel of "act(g) lies in <unit, W> for every
+  generator g in {unit} + {e_w}", and <unit, W> is the set of v with v_c = 0
+  at every c outside W + diag and v_(1,1,1) = ... = v_(n,n,n).  The unit
+  gives the forms {u: 1}, u in U, and the n - 1 trace rows; by H2 the forms
+  of each e_w lie on U, in the span of the {u: 1}.  The gl^3-level kernel
+  has dimension 3n^2 - 3n(n-1)/2 - (n-1), the quotient (3n^2 + n - 2)/2;
+* the tangent space at unit + w of the orbit of the cone is
+  act(gl^3, unit + w) + <unit, W>, whose |W| unit vectors remove the
+  coordinates of W.  Its projective dimension is |W| + 3n(n-1)/2 + n - 1 =
+  (2n^3 + 3n^2 - 2n - 3)/3 = dim G - dim G_cone + dim cone at every point.
+
+The ranks and kernels of a general tensor, and the tests' oracle for the
+lemma, go through one structured elimination (LaMacchia & Odlyzko 1990).
+``_split`` peels one-term forms to a fixed point: each forces its unknown
+to 0 and is deleted from the other forms, which may leave new one-term
+forms.  Ranks (``_rank_forms``) then peel the rows that alone hold a
+column, and only the residue reaches ``rank_int``; kernels
+(``_kernel_forms``) send what ``_split`` leaves to ``kernel_int``.
 
 Dimensions come in two conventions: the raw gl^3 level and the faithful
 quotient (subtract 2 for the scalar pairs (a, b, -a-b) acting trivially).
@@ -57,7 +73,8 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int, rank_int
-from .tensors import Tensor3, build_W, integer_entries, json_int, rational, sample_coefficients, unit_tensor
+from .tensors import Tensor3, build_W, integer_entries, json_int, rational, unit_tensor
+from .weights import binary_cocharacter
 
 #: dimension of the scalar pairs acting trivially on every tensor
 ACTION_KERNEL_DIM = 2
@@ -148,11 +165,6 @@ def _action_map(n, entries, skip=frozenset()):
                     form = amap.setdefault(coord, {})
                     form[unk] = form.get(unk, 0) + c
     return amap
-
-
-def _coord_index(n, t):
-    i, j, k = t
-    return (i - 1) * n * n + (j - 1) * n + (k - 1)
 
 
 def _dense(forms, width):
@@ -295,58 +307,53 @@ def orbit_dim_unit(n) -> int:
     return _rank_forms(_action_map(n, integer_entries(unit_tensor(n))).values())
 
 
-def _cone_forms(n):
-    """The condition "act(lt, g) lies in <unit, W> for every generator g
-    (the unit tensor and e_w, w in W)" as sparse integer forms over the
-    3n^2 unknowns: each generator contributes the forms of its image at
-    every coordinate outside W + diag and of its image at (i,i,i) minus its
-    image at (1,1,1), i >= 2.
+def _unit_forced(n):
+    """Check the lemma's H1 and H2 for W = build_W(n, "W") and return
+    (W, U), U sorted; raise InternalError if either fails.
 
-    Only the unit generator gives forms of more than one term.  For w =
-    (i, j, k) in W, the image of e_w has 3n Leibniz terms, one per unknown
-    x_pi, y_pj, z_pk, on the three lines through w: at (p, j, k), (i, p, k)
-    and (i, j, p) (see ``_action_map``).  The lines meet only at w, so the
-    terms land on distinct coordinates except the three that land on w
-    itself, and w is in W.  At most one lands on the diagonal: (p, j, k)
-    only if j = k, (i, p, k) only if i = k, (i, j, p) only if i = j, and an
-    off-diagonal w has at most one equal pair.  So every term outside W is
-    alone at its coordinate and gives a one-term form, off the diagonal
-    directly and on it through the difference with (1,1,1), where e_w has
-    no other term.  Each forces its unknown, so the e_w generators come
-    down to one form {u: 1} per distinct unknown u with a term outside W,
-    listed once.  Unknown (p, q) of the s-th factor is such a u when some w
-    in W has q in slot s and the point at position p of its slot-s line
-    lies outside W; bitmasks over the lines find them without writing a
-    term.
-    """
+    outside[s][line] has bit p set when position p of the slot-s line whose
+    other two indices are ``line`` lies outside W.  Unknown (p, q) of factor
+    s puts its unit term at position p of the slot-s line through (q, q, q),
+    and its e_w term, for w with q in slot s, at position p of the slot-s
+    line through w (see ``_action_map``): U is read off the lines through
+    the diagonal, and H2 is one mask inclusion per line through w."""
     W = build_W(n, "W")
+    tw = binary_cocharacter(n)
+    if any(tw.lam[i - 1] + tw.mu[j - 1] + tw.nu[k - 1] < 1 for i, j, k in W.triples):
+        raise InternalError(f"H1 fails: the binary cocharacter has weight < 1 on a triple of W({n})")
     nn = n * n
-    in_W = {_coord_index(n, t) for t in W}
-    # outside[s][line]: bit p set when position p of the slot-s line whose
-    # other two indices are ``line`` lies outside W
-    outside = [[0] * nn for _ in range(3)]
-    for c in range(n * nn):
-        if c not in in_W:
-            i, j, k = c // nn, c // n % n, c % n
-            outside[0][j * n + k] |= 1 << i
-            outside[1][i * n + k] |= 1 << j
-            outside[2][i * n + j] |= 1 << k
-    # forced[s][q]: bit p set when unknown (p, q) of the s-th factor is forced
-    forced = [[0] * n for _ in range(3)]
+    full = (1 << n) - 1
+    outside = [[full] * nn for _ in range(3)]
     for i, j, k in W.triples:
         i, j, k = i - 1, j - 1, k - 1
-        forced[0][i] |= outside[0][j * n + k]
-        forced[1][j] |= outside[1][i * n + k]
-        forced[2][k] |= outside[2][i * n + j]
-    forms = [{s * nn + p * n + q: 1} for s in range(3) for q in range(n) for p in range(n) if forced[s][q] >> p & 1]
-    amap = _action_map(n, {(i, i, i): 1 for i in range(1, n + 1)}, in_W)
-    origin = amap.pop(_coord_index(n, (1, 1, 1)))
-    for i in range(2, n + 1):
-        form = amap.pop(_coord_index(n, (i, i, i)))
-        for unk, v in origin.items():
-            form[unk] = form.get(unk, 0) - v
-        forms.append(form)
-    return forms + list(amap.values())
+        outside[0][j * n + k] &= ~(1 << i)
+        outside[1][i * n + k] &= ~(1 << j)
+        outside[2][i * n + j] &= ~(1 << k)
+    # forced[s][q]: bit p set when unknown (p, q) of factor s is in U
+    forced = [[outside[s][q * (n + 1)] & ~(1 << q) for q in range(n)] for s in range(3)]
+    for i, j, k in W.triples:
+        i, j, k = i - 1, j - 1, k - 1
+        if (
+            outside[0][j * n + k] & ~forced[0][i]
+            or outside[1][i * n + k] & ~forced[1][j]
+            or outside[2][i * n + j] & ~forced[2][k]
+        ):
+            raise InternalError(f"H2 fails: e_w, w = {(i + 1, j + 1, k + 1)}, has a term outside W({n}) off U")
+    return W, [s * nn + p * n + q for s in range(3) for p in range(n) for q in range(n) if forced[s][q] >> p & 1]
+
+
+def _diagonal_unknowns(n, i):
+    """The unknowns x_ii, y_ii, z_ii, for i = 0..n-1."""
+    return [s * n * n + i * (n + 1) for s in range(3)]
+
+
+def _cone_forms(n):
+    """The condition "act(lt, g) lies in <unit, W> for every generator g"
+    as sparse integer forms over the 3n^2 unknowns: {u: 1} for u in U and
+    the n - 1 trace rows (x_ii + y_ii + z_ii) - (x_11 + y_11 + z_11)."""
+    origin = dict.fromkeys(_diagonal_unknowns(n, 0), -1)
+    trace = [{**origin, **dict.fromkeys(_diagonal_unknowns(n, i), 1)} for i in range(1, n)]
+    return [{u: 1} for u in _unit_forced(n)[1]] + trace
 
 
 def cone_stabilizer_dim(n) -> int:
@@ -436,37 +443,20 @@ class TangentReport:
 
 
 def orbit_cone_tangent_dim(n, seed) -> TangentReport:
-    """Projective dimension of the tangent space, at a sampled generic
-    point unit + w (w on the staircase support W), of the orbit of the
-    cone: rank of act(gl^3, unit + w) + <unit, W> minus one.
+    """Projective dimension of the tangent space, at a point unit + w (w on
+    the staircase support W), of the orbit of the cone: rank of
+    act(gl^3, unit + w) + <unit, W> minus one.
 
     The rank is |W| plus the rank of the coordinate forms outside W, with
-    one extra unknown, column 3n^2, for the unit tensor at the diagonal
-    coordinates.
-
-    Degenerate samples (rank below the closed form) trigger up to two
-    reseeds (seed+1, seed+2); all attempts are reported and the maximum is
-    returned."""
-    expected = qmax_dimension_bound(n)
-    W = build_W(n, "W")
-    in_W = {_coord_index(n, t) for t in W}
-    diag = {(i, i, i): 1 for i in range(1, n + 1)}
-    attempts = []
-    best = -1
-    for s in (seed, seed + 1, seed + 2):
-        # W holds no diagonal triple and the samples are integers, so these
-        # are the integer entries of unit + w
-        entries = dict(diag)
-        entries.update((t, int(c)) for t, c in sample_coefficients(W, s).items())
-        amap = _action_map(n, entries, in_W)
-        for t in diag:
-            amap[_coord_index(n, t)][3 * n * n] = 1
-        value = len(W) + _rank_forms(amap.values()) - 1
-        attempts.append((s, value))
-        best = max(best, value)
-        if best == expected:
-            break
-    return TangentReport(n=n, value=best, expected=expected, attempts=tuple(attempts))
+    one extra unknown, column 3n^2, for the unit tensor at the diagonal; by
+    the module's lemma, at every point unit + w, that is the rank of the
+    forms {u: 1}, u in U, and the n rows x_ii + y_ii + z_ii + column 3n^2.
+    So ``seed`` only names the point, and ``attempts`` is (seed, value)."""
+    W, forced = _unit_forced(n)
+    forms = [{u: 1} for u in forced]
+    forms += [dict.fromkeys(_diagonal_unknowns(n, i) + [3 * n * n], 1) for i in range(n)]
+    value = len(W) + _rank_forms(forms) - 1
+    return TangentReport(n=n, value=value, expected=qmax_dimension_bound(n), attempts=((seed, value),))
 
 
 def qmax_dimension_bound(n) -> int:

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bordersub import (
+    InternalError,
     InvalidValueError,
     LieTriple,
+    Support,
     Tensor3,
     act,
     build_W,
@@ -187,40 +189,118 @@ def test_tangent_reports_attempts():
     assert rep.value == max(v for _, v in rep.attempts)
 
 
-def test_tangent_rank_n2_never_degenerate(monkeypatch):
+def _coordinate(n, t):
+    return (t[0] - 1) * n * n + (t[1] - 1) * n + (t[2] - 1)
+
+
+def _tangent_oracle(n, coeffs):
+    """The general path for the tangent value at unit + w, w given as
+    {triple: coefficient} on every triple of its support, zeros allowed:
+    the action map of unit + w outside the support, with zero coefficients
+    dropped, one more column 3n^2 for the unit tensor at the diagonal, and
+    |support| + rank - 1."""
+    from bordersub.stabilizer import _action_map, _rank_forms
+
+    entries = {(i, i, i): 1 for i in range(1, n + 1)}
+    entries.update((t, int(c)) for t, c in coeffs.items() if c)
+    amap = _action_map(n, entries, {_coordinate(n, t) for t in coeffs})
+    for i in range(1, n + 1):
+        amap[_coordinate(n, (i, i, i))][3 * n * n] = 1
+    return len(coeffs) + _rank_forms(amap.values()) - 1
+
+
+def test_tangent_rank_n2_never_degenerate():
     # exhaustive over all 6^3 coefficient assignments on the staircase
-    # support: every sample is generic, so the n=2 value is seed-independent
+    # support: the general path gives 7 at every point
     from itertools import product as iproduct
 
-    import bordersub.stabilizer as st
-
     triples = build_W(2, "W").sorted_triples()
-    values = set()
-    for combo in iproduct((1, 2, 3, -1, -2, -3), repeat=3):
-        coeffs = {t: Fraction(c) for t, c in zip(triples, combo)}
-        monkeypatch.setattr(st, "sample_coefficients", lambda sup, seed: coeffs)
-        values.update(v for _, v in st.orbit_cone_tangent_dim(2, seed=0).attempts)
+    values = {_tangent_oracle(2, dict(zip(triples, combo))) for combo in iproduct((1, 2, 3, -1, -2, -3), repeat=3)}
     assert values == {7}
 
 
-def test_tangent_retries_on_degenerate_sample(monkeypatch):
-    # force a rank drop on the first attempt; the operation must reseed,
-    # report both attempts, and return the maximum
+def test_tangent_matches_general_path():
+    for n in range(1, 11):
+        W = build_W(n, "W")
+        for s in range(3):
+            assert orbit_cone_tangent_dim(n, s).value == _tangent_oracle(n, sample_coefficients(W, s))
+
+
+@hs.composite
+def staircase_points(draw):
+    """n = 1..6 and integer coefficients on W(n), zeros included."""
+    n = draw(hs.integers(1, 6))
+    triples = build_W(n, "W").sorted_triples()
+    values = draw(hs.lists(hs.integers(-50, 50) | hs.just(0), min_size=len(triples), max_size=len(triples)))
+    return n, dict(zip(triples, values))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(staircase_points())
+def test_tangent_rank_at_every_staircase_point(case):
+    n, coeffs = case
+    assert _tangent_oracle(n, coeffs) == qmax_dimension_bound(n)
+
+
+def _lemma_sets(n, support):
+    """(U, forced) by the general path: the unknowns of the unit tensor's
+    terms at off-diagonal coordinates outside ``support``, and those of
+    the terms of every e_w, w in ``support``, outside it."""
+    from bordersub.stabilizer import _action_map
+
+    inside = {_coordinate(n, t) for t in support}
+    diag = {_coordinate(n, (i, i, i)) for i in range(1, n + 1)}
+    unit = _action_map(n, {(i, i, i): 1 for i in range(1, n + 1)}, inside | diag)
+    forced = {u for t in support for form in _action_map(n, {t: 1}, inside).values() for u in form}
+    return {u for form in unit.values() for u in form}, forced
+
+
+def test_unit_forced_refuses_supports_outside_the_lemma(monkeypatch):
     import bordersub.stabilizer as st
 
-    true_rank = st.rank_int
-    calls = []
+    # H1: W' has triples of negative weight under W's cocharacter
+    monkeypatch.setattr(st, "build_W", lambda n, variant="W": build_W(n, "W'"))
+    for run in (lambda: st.cone_stabilizer_dim(3), lambda: st.orbit_cone_tangent_dim(3, 0)):
+        with pytest.raises(InternalError, match="H1"):
+            run()
+    # H2: without (3,1,2), e_(2,1,2) puts x_32 there, and x_32 is not in U
+    # since the unit's term of x_32 lands at (3,2,2), inside W
+    smaller = Support.of(3, [t for t in build_W(3, "W").triples if t != (3, 1, 2)])
+    U, forced = _lemma_sets(3, smaller)
+    assert (3 - 1) * 3 + (2 - 1) in forced - U  # x_32
+    monkeypatch.setattr(st, "build_W", lambda n, variant="W": smaller)
+    for run in (lambda: st.cone_stabilizer_dim(3), lambda: st.orbit_cone_tangent_dim(3, 0)):
+        with pytest.raises(InternalError, match="H2"):
+            run()
 
-    def flaky(rows):
-        value = true_rank(rows)
-        calls.append(value)
-        return value - 1 if len(calls) == 1 else value
 
-    monkeypatch.setattr(st, "rank_int", flaky)
-    rep = st.orbit_cone_tangent_dim(2, seed=0)
-    assert rep.value == 7 and rep.ok
-    assert [v for _, v in rep.attempts] == [6, 7]
-    assert [s for s, _ in rep.attempts] == [0, 1]
+def test_unit_forced_matches_general_path_on_smaller_supports(monkeypatch):
+    # W(n) less one triple at n = 3, 4, and less two at n = 3 where the one
+    # term off U is y_12 or z_12 alone: the bitmask check raises exactly
+    # when some e_w term outside the support falls off U, and where H2
+    # holds the lemma gives the general path's tangent value there too
+    import bordersub.stabilizer as st
+
+    for n in (1, 2, 3, 4):
+        W = build_W(n, "W")
+        U, forced = _lemma_sets(n, W)
+        assert forced <= U and st._unit_forced(n) == (W, sorted(U))
+    cases = [(n, {t}) for n in (3, 4) for t in build_W(n, "W").sorted_triples()]
+    cases += [(3, {(2, 1, 3), (3, 1, 3)}), (3, {(2, 3, 1), (3, 3, 1)})]
+    held = 0
+    for n, drop in cases:
+        smaller = Support.of(n, [t for t in build_W(n, "W").triples if t not in drop])
+        monkeypatch.setattr(st, "build_W", lambda n, variant="W": smaller)
+        U, forced = _lemma_sets(n, smaller)
+        if not forced <= U:
+            with pytest.raises(InternalError, match="H2"):
+                st._unit_forced(n)
+            continue
+        held += 1
+        assert st._unit_forced(n) == (smaller, sorted(U))
+        value = _tangent_oracle(n, sample_coefficients(smaller, 0))
+        assert st.orbit_cone_tangent_dim(n, 0).value == value == len(smaller) + len(U) + n - 1
+    assert held == 10
 
 
 def test_cone_structure_reports_planted_violations(monkeypatch):
