@@ -6,7 +6,7 @@ table), and uses exit codes designed for scripting over sweeps:
 
     0  success / positive verdict
     1  negative verdict: infeasible, non-member, not tight, not maximal,
-       inconclusive, or a failed reproduction check
+       or a failed reproduction check
     2  usage error (bad flags, malformed or missing files)
     3  internal invariant violation (a result failed its own re-check)
 

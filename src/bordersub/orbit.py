@@ -23,11 +23,11 @@ D_j = diag(V_j1, ..., V_jn).  An invertible combination is Y = U D W^T with
 D = sum_j c_j D_j invertible, and the S'_j Y^{-1} = U D_j D^{-1} U^{-1}
 commute and are diagonalizable; the grid below finds such a Y.
 
-Verdicts: member / non_member are proofs; inconclusive is reserved for
-slices that span only singular matrices, which a deterministic grid of
-combinations establishes after the seeded attempts (possible even for
-concise tensors, e.g. the alternating 3 x 3 x 3 tensor).  A member's slices
-always span an invertible matrix, so members are never inconclusive.
+Verdicts: member and non_member, each a proof.  A member's first-slot
+slices S_i = V diag(U_i1, ..., U_in) W^T span the invertible V W^T (take
+c^T U = (1, ..., 1)), and the grid of combinations finds an invertible one
+whenever the slices span one; so slices that span only singular matrices
+prove non-membership (the concise alternating 3 x 3 x 3 tensor).
 
 Membership is equivalent to maximal *subrank*.  Tensors of maximal border
 subrank can still be non-members -- degeneration is strictly weaker than
@@ -46,7 +46,7 @@ from operator import mul
 
 from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import rank_int
-from .tensors import NONZERO_SMALL, Tensor3, integer_entries
+from .tensors import NONZERO_SMALL, Tensor3, integer_entries, rational
 
 #: seeded random slice combinations tried after the basis slices
 SLICE_COMBO_ATTEMPTS = 5
@@ -158,7 +158,7 @@ def _is_diagonalizable(mat):
 
 @dataclass(frozen=True)
 class OrbitVerdict:
-    verdict: str  # "member" | "non_member" | "inconclusive"
+    verdict: str  # "member" | "non_member"
     reason: str | None = None
     side: str | None = None
 
@@ -202,7 +202,7 @@ def _side_verdict(T: Tensor3, seed, side):
     slices = _slice_matrices(T.n, integer_entries(T), "AB".index(side))
     combo = _invertible_combo(slices, seed, side)
     if combo is None:
-        return OrbitVerdict("inconclusive", "no invertible slice combination found within the retry budget", side)
+        return OrbitVerdict("non_member", "slices span only singular matrices (grid of (n+1)^(n-1) points)", side)
     adj = _bareiss(combo, adjugate=True)
     mats = [_mul(s, adj) for s in slices]  # det(combo) times the normalized slices
     for i, j in combinations(range(len(mats)), 2):
@@ -238,8 +238,8 @@ def random_invertible(n, rng):
 def gl_invariance_probe(n, cases, seed):
     """Verdict stability under base change: for seeded random tensors T and
     invertible triples g, unit_orbit_member(T) must equal
-    unit_orbit_member(g . T) whenever neither is inconclusive.  Returns the
-    list of disagreeing case indices (empty = pass)."""
+    unit_orbit_member(g . T).  Returns the list of disagreeing case indices
+    (empty = pass)."""
     from .tensors import sample_coefficients, sample_support, tensor_from_support
 
     bad = []
@@ -250,8 +250,6 @@ def gl_invariance_probe(n, cases, seed):
         gs = [random_invertible(n, rng) for _ in range(3)]
         v1 = unit_orbit_member(T, seed=case)
         v2 = unit_orbit_member(apply_gl(gs, T), seed=case)
-        if "inconclusive" in (v1.verdict, v2.verdict):
-            continue
         if v1.verdict != v2.verdict:
             bad.append(case)
     return bad
@@ -261,22 +259,22 @@ def apply_gl(gs, T: Tensor3) -> Tensor3:
     """Base change by a triple of invertible matrices (rows index the new
     basis): (g T)_{abc} = sum g1[a][i] g2[b][j] g3[c][k] T_{ijk}."""
     n = T.n
-    g1, g2, g3 = gs
     for g in gs:
         if len(g) != n or any(len(row) != n for row in g):
             raise DimensionMismatchError("matrices must be n x n")
+    g1, g2, g3 = ([[rational(x) for x in row] for row in g] for g in gs)
     out = {}
     for (i, j, k), c in T.entries.items():
         for a in range(1, n + 1):
-            f1 = Fraction(g1[a - 1][i - 1])
+            f1 = g1[a - 1][i - 1]
             if not f1:
                 continue
             for b in range(1, n + 1):
-                f2 = Fraction(g2[b - 1][j - 1])
+                f2 = g2[b - 1][j - 1]
                 if not f2:
                     continue
                 for d in range(1, n + 1):
-                    f3 = Fraction(g3[d - 1][k - 1])
+                    f3 = g3[d - 1][k - 1]
                     if not f3:
                         continue
                     key = (a, b, d)

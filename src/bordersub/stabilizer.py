@@ -140,11 +140,11 @@ class LieTriple:
         return LieTriple(self.n, mul(self.x), mul(self.y), mul(self.z))
 
 
-def _action_map(n, entries, skip=frozenset()):
+def _action_map(n, entries):
     """The linear map lt -> act(lt, T) as coordinate index -> {unknown:
     coefficient}, for the tensor T of format n with the given entries
-    {triple: value}, at every coordinate not in ``skip``; the only place the
-    Leibniz terms of a general tensor are enumerated.
+    {triple: value}; the only place the Leibniz terms of a general tensor
+    are enumerated.
 
     Coordinate (i, j, k) has index (i-1)n^2 + (j-1)n + (k-1); unknowns are
     positions in LieTriple.flat(), so entry (p, q) of x, y, z is unknown
@@ -161,9 +161,8 @@ def _action_map(n, entries, skip=frozenset()):
             (range(i * nn + j * n, i * nn + j * n + n), range(2 * nn + k, 3 * nn, n)),
         ):
             for coord, unk in zip(coords, unks):
-                if coord not in skip:
-                    form = amap.setdefault(coord, {})
-                    form[unk] = form.get(unk, 0) + c
+                form = amap.setdefault(coord, {})
+                form[unk] = form.get(unk, 0) + c
     return amap
 
 

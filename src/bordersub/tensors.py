@@ -311,7 +311,7 @@ def build_tight_U(n) -> Support:
 
 def tensor_from_support(sup: Support, coeffs) -> Tensor3:
     """Tensor with the prescribed support; coeffs must cover it exactly."""
-    coeffs = {tuple(t): Fraction(c) for t, c in coeffs.items()}
+    coeffs = {tuple(t): rational(c) for t, c in coeffs.items()}
     if set(coeffs) != set(sup.triples):
         missing = set(sup.triples) - set(coeffs)
         extra = set(coeffs) - set(sup.triples)

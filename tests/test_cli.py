@@ -183,6 +183,19 @@ def test_unit_orbit_cli(tmp_path, capsys):
     assert "diagonalizable" in outputs["witness"]["explanation"]
 
 
+def test_unit_orbit_cli_levi_civita_non_member(tmp_path, capsys):
+    # every slice combination of the alternating 3 x 3 x 3 tensor is singular
+    even, odd = [(1, 2, 3), (2, 3, 1), (3, 1, 2)], [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    entries = [[*t, "1"] for t in even] + [[*t, "-1"] for t in odd]
+    levi_civita = write(tmp_path, "lc.json", {"n": 3, "entries": entries})
+    code, out, _ = run(capsys, "unit-orbit", "--tensor", levi_civita, "--seed", "0")
+    assert code == 1
+    assert json.loads(out)["outputs"] == {
+        "verdict": "non_member",
+        "witness": {"explanation": "slices span only singular matrices (grid of (n+1)^(n-1) points)", "side": "A"},
+    }
+
+
 def test_certify_validates_supplied_certificate(tmp_path, capsys):
     from bordersub import binary_cocharacter, sample_coefficients, tensor_from_support
 

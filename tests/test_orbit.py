@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bordersub import (
+    InvalidValueError,
     Tensor3,
     apply_gl,
     binary_cocharacter,
@@ -224,10 +226,24 @@ def test_non_concise_is_non_member():
     assert "concise" in v.reason
 
 
-def test_levi_civita_inconclusive():
-    v = unit_orbit_member(LEVI_CIVITA, seed=0)
-    assert v.verdict == "inconclusive"
-    assert v.reason == "no invertible slice combination found within the retry budget"
+GRID_REASON = "slices span only singular matrices (grid of (n+1)^(n-1) points)"
+
+
+def test_skew_slices_at_odd_n_are_non_members():
+    # independent of the grid: every first-slot slice is skew-symmetric and n
+    # is odd, so every combination M has det M = det M^T = det(-M) = -det M
+    rng = random.Random("skew-slices")
+    for T in (LEVI_CIVITA, ALTERNATING_5):
+        n = T.n
+        assert n % 2 and is_concise(T)
+        slices = [[[T.coeff((i, j, k)) for k in range(1, n + 1)] for j in range(1, n + 1)] for i in range(1, n + 1)]
+        assert all(s[j][k] == -s[k][j] for s in slices for j in range(n) for k in range(n))
+        for _ in range(20):
+            c = [rng.randint(-3, 3) for _ in range(n)]
+            combo = [[sum(x * s[j][k] for x, s in zip(c, slices)) for k in range(n)] for j in range(n)]
+            assert laplace_charpoly(combo)[-1] == 0
+        v = unit_orbit_member(T, seed=0)
+        assert (v.verdict, v.reason, v.side) == ("non_member", GRID_REASON, "A")
 
 
 # (g1, g2, g3) with entries in -2..2 whose product with the unit tensor has
@@ -288,13 +304,14 @@ def orbit_corpus():
 
 def test_unit_orbit_verdicts_pinned():
     # sha256 of the verdict reprs computed with the Fraction slice algebra
-    # (both slot families tested, one Fraction inverse per combination)
+    # (both slot families tested, one Fraction inverse per combination); the
+    # two alternating tensors give the grid reason
     cases = orbit_corpus()
     reprs = [repr(unit_orbit_member(T, seed)) for T, seed in cases]
     assert len(reprs) == 318
     assert sum(r.startswith("OrbitVerdict(verdict='member'") for r in reprs) == 142
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
-    assert digest == "8775cd650d160d87fc83305f72a4dbbccc8189fcaa7b266d2370d06e0340c42f"
+    assert digest == "465a712e10852d4013703b5970a02ab6d5b5a2cdc01dc228340e141c95ce10a9"
 
 
 def test_unit_orbit_verdicts_pinned_n6_to_8():
@@ -325,8 +342,7 @@ def test_alternating_5_walks_the_whole_grid(monkeypatch):
     monkeypatch.setattr(orbit, "_bareiss", counted)
     assert is_concise(ALTERNATING_5)
     v = unit_orbit_member(ALTERNATING_5, seed=0)
-    assert v.verdict == "inconclusive"
-    assert v.reason == "no invertible slice combination found within the retry budget"
+    assert (v.verdict, v.reason, v.side) == ("non_member", GRID_REASON, "A")
     assert tested[0] == 5 + 5 + 6**4 == 1306
 
 
@@ -362,6 +378,16 @@ def test_apply_gl_identity_and_scaling():
     assert apply_gl((two, eye, eye), T) == T.scale(2)
 
 
+def test_apply_gl_refuses_floats_and_booleans():
+    # Fraction(0.1) keeps its binary expansion and Fraction(True) is 1
+    for bad in (0.1, True):
+        for slot in range(3):
+            gs = [[[1]], [[1]], [[1]]]
+            gs[slot] = [[bad]]
+            with pytest.raises(InvalidValueError):
+                apply_gl(gs, unit_tensor(1))
+
+
 def test_member_stable_under_gl():
     rng = random.Random(3)
     T = unit_tensor(3)
@@ -393,4 +419,4 @@ def test_border_maximal_but_non_member_never_contradicts():
     W = build_W(3, "W")
     T = unit_tensor(3) + tensor_from_support(W, sample_coefficients(W, seed=0))
     assert check_degeneration_certificate(T, binary_cocharacter(3)).valid
-    assert unit_orbit_member(T, seed=0).verdict in ("member", "non_member", "inconclusive")
+    assert unit_orbit_member(T, seed=0).verdict in ("member", "non_member")

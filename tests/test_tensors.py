@@ -226,6 +226,13 @@ def test_tensor_refuses_boolean_coefficients():
         Tensor3(1, {(1, 1, 1): Fraction(1)}).scale(True)
 
 
+def test_tensor_from_support_refuses_floats_and_booleans():
+    S = Support.of(2, [(1, 2, 2)])
+    for bad in (0.1, True):
+        with pytest.raises(InvalidValueError):
+            tensor_from_support(S, {(1, 2, 2): bad})
+
+
 def test_support_refuses_boolean_index():
     with pytest.raises(InvalidValueError):
         Support.of(2, [(1, 1, True)])
