@@ -40,7 +40,9 @@ reused rests on a certificate checked in exact integers:
 * Farkas cores: an infeasible LP returns multipliers y >= 0 with
   y^T A = 0 and y^T b > 0 (checked by the simplex); the rows with y_r > 0
   name a core (I, O), and every system with ins containing I and outs
-  containing O is infeasible by the same y;
+  containing O is infeasible by the same y.  The core is recorded with its
+  orbit under the symmetry group below: were some c a solution at an
+  image (g(I), g(O)), g^-1 c would be one at (I, O);
 * orbit closure: feasibility is invariant under relabelling the indices
   diagonally (S_n) and permuting the three slots (S_3), the group
   ``tensors.Symmetry``, and a certificate maps along, so a recorded
@@ -48,6 +50,10 @@ reused rests on a certificate checked in exact integers:
   transformed certificate, re-checked to be >= 1 on the image and <= 0
   off it.  Found components then answer feasibility (ins within M, outs
   outside M) and prune by domination sooner;
+* an index of found components: each triple keeps a bitmask of the
+  components holding it, so "some M with ins within M and outs outside M"
+  is an AND over ins and an AND-NOT over outs, its lowest bit the first
+  such M found, and domination is an AND over the candidate pool;
 * orbit-representative pruning: order supports by their in/out vectors
   over the triple order, "in" above "out", so the leader (largest member)
   of an orbit is the member the in-first search meets first.  Compare a
@@ -240,15 +246,27 @@ class ComponentEnumeration:
 
 
 def _enumerate(n, universe):
-    """The maximal feasible supports over universe, as sorted triple tuples."""
-    found = {}  # sorted triples -> (support, verified certificate)
+    """The maximal feasible supports over universe, as frozensets."""
+    hits = []  # (support, verified certificate) of each found component, in order
+    found = set()  # the supports of hits
+    holders = dict.fromkeys(universe, 0)  # triple t -> bitmask of the hits whose support holds t
     in_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in I
     out_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in O
 
     maps = _position_maps(n, universe)
+    moves = [dict(zip(universe, [universe[s] for s in m])) for m in maps]  # the same maps on triples
 
     def positive(cert):
         return frozenset(t for t in universe if weight_of(cert, t) >= 1)
+
+    def holding(ins, outs=()):
+        """Bitmask of the hits whose support holds ins and misses outs."""
+        mask = (1 << len(hits)) - 1
+        for t in ins:
+            mask &= holders[t]
+        for t in outs:
+            mask &= ~holders[t]
+        return mask
 
     def extend(ins, outs, c, inside):
         """(P, certificate) for the system with c added to ins (inside) or
@@ -261,27 +279,32 @@ def _enumerate(n, universe):
         for I, O in (in_cores if inside else out_cores)[c]:
             if I <= ins and O <= outs:
                 return None
-        for hit in found.values():
-            if ins <= hit[0] and hit[0].isdisjoint(outs):
-                return hit
+        mask = holding(ins, outs)
+        if mask:
+            return hits[(mask & -mask).bit_length() - 1]
         cert, core = _solve_system(n, ins, outs)
         if cert is None:
             I, O = core
-            for t in I:
-                in_cores[t].append(core)
-            for t in O:
-                out_cores[t].append(core)
+            images = ((frozenset(map(g.__getitem__, I)), frozenset(map(g.__getitem__, O))) for g in moves)
+            for core in dict.fromkeys([core, *images]):
+                for t in core[0]:
+                    in_cores[t].append(core)
+                for t in core[1]:
+                    out_cores[t].append(core)
             return None
         return positive(cert), cert
 
     def record(ins, cert):
         for image, moved in _symmetric_images(n, ins, cert):
-            key = tuple(sorted(image))
-            if key in found:
+            if image in found:
                 continue
             if positive(moved) != image:
-                raise InternalError(f"moved certificate does not certify the image {key}")
-            found[key] = (image, moved)
+                raise InternalError(f"moved certificate does not certify the image {sorted(image)}")
+            bit = 1 << len(hits)
+            for t in image:
+                holders[t] |= bit
+            hits.append((image, moved))
+            found.add(image)
 
     def dfs(ins, outs, undecided, certs):
         # certs: (positive support, certificate) pairs satisfying (ins, outs);
@@ -309,8 +332,7 @@ def _enumerate(n, universe):
                     outs = outs | {c}
                 undecided.remove(c)
                 changed = True
-        pool = ins | frozenset(undecided)
-        if any(pool <= M for M, _ in found.values()):
+        if holding(ins.union(undecided)):
             return
         if _not_leader([True if t in ins else False if t in outs else None for t in universe], maps):
             return
@@ -328,7 +350,7 @@ def _enumerate(n, universe):
 
     root, _ = _solve_system(n, (), ())
     dfs(frozenset(), frozenset(), tuple(universe), [(positive(root), root)])
-    return list(found)
+    return [P for P, _ in hits]
 
 
 def enumerate_maximal_components(n, best_effort=False) -> ComponentEnumeration:

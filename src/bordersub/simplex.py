@@ -37,7 +37,10 @@ as its reduced cost is then den.
 Arithmetic is fraction-free (Edmonds/Bareiss integer pivoting): a pivot on
 entry p rescales every other row by p/den with a cross-multiplication whose
 division is exact, since all entries are minors of the original integer
-system, and the pivot row stays unscaled.  The rows go in as integers and
+system, and the pivot row stays unscaled.  A column with no entry on the
+pivot row only takes the factor p/den, so when p equals den (most pivots
+of the nullcone systems) it is left as it is, and so is the right-hand
+side when its pivot-row entry is zero.  The rows go in as integers and
 every number that comes out is an integer; a caller with rational rows
 clears their denominators first.
 
@@ -122,6 +125,7 @@ def phase_one(num_vars, cons):
             # the phase-1 objective is bounded below by zero
             raise InternalError("phase-1 simplex unbounded")
         piv = ecol[leave]
+        rescale = piv != den
         for k in range(d):
             if k == slot:
                 continue
@@ -130,13 +134,15 @@ def phase_one(num_vars, cons):
             if pk:
                 c = [(x * piv - f * pk) // den for x, f in zip(c, ecol)]
                 c[leave] = pk
-            else:
-                c = [x * piv // den for x in c]
-            cols[k] = c
-            zs[k] = (zs[k] * piv - zf * pk) // den
+                cols[k] = c
+                zs[k] = (zs[k] * piv - zf * pk) // den
+            elif rescale:
+                cols[k] = [x * piv // den for x in c]
+                zs[k] = zs[k] * piv // den
         prhs = rhs[leave]
-        rhs = [(x * piv - f * prhs) // den for x, f in zip(rhs, ecol)]
-        rhs[leave] = prhs
+        if prhs or rescale:
+            rhs = [(x * piv - f * prhs) // den for x, f in zip(rhs, ecol)]
+            rhs[leave] = prhs
         obj = (obj * piv - zf * prhs) // den
 
         # the leaving column becomes -ecol off the pivot row and den on it;

@@ -73,7 +73,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int, rank_int
-from .tensors import Tensor3, build_W, integer_entries, json_int, rational, unit_tensor
+from .tensors import Tensor3, integer_entries, json_int, rational, staircase_triples, unit_tensor
 from .weights import binary_cocharacter
 
 #: dimension of the scalar pairs acting trivially on every tensor
@@ -307,30 +307,33 @@ def orbit_dim_unit(n) -> int:
 
 
 def _unit_forced(n):
-    """Check the lemma's H1 and H2 for W = build_W(n, "W") and return
-    (W, U), U sorted; raise InternalError if either fails.
+    """Check the lemma's H1 and H2 for W = W(n) and return (|W|, U), U
+    sorted; raise InternalError if either fails.
 
-    outside[s][line] has bit p set when position p of the slot-s line whose
-    other two indices are ``line`` lies outside W.  Unknown (p, q) of factor
-    s puts its unit term at position p of the slot-s line through (q, q, q),
-    and its e_w term, for w with q in slot s, at position p of the slot-s
-    line through w (see ``_action_map``): U is read off the lines through
-    the diagonal, and H2 is one mask inclusion per line through w."""
-    W = build_W(n, "W")
+    The triples of W are generated twice and never held (W(100) has
+    661,650).  outside[s][line] has bit p set when position p of the slot-s
+    line whose other two indices are ``line`` lies outside W.  Unknown
+    (p, q) of factor s puts its unit term at position p of the slot-s line
+    through (q, q, q), and its e_w term, for w with q in slot s, at
+    position p of the slot-s line through w (see ``_action_map``): U is
+    read off the lines through the diagonal, and H2 is one mask inclusion
+    per line through w."""
     tw = binary_cocharacter(n)
-    if any(tw.lam[i - 1] + tw.mu[j - 1] + tw.nu[k - 1] < 1 for i, j, k in W.triples):
-        raise InternalError(f"H1 fails: the binary cocharacter has weight < 1 on a triple of W({n})")
     nn = n * n
     full = (1 << n) - 1
     outside = [[full] * nn for _ in range(3)]
-    for i, j, k in W.triples:
+    size = 0
+    for i, j, k in staircase_triples(n):
+        if tw.lam[i - 1] + tw.mu[j - 1] + tw.nu[k - 1] < 1:
+            raise InternalError(f"H1 fails: the binary cocharacter has weight < 1 on a triple of W({n})")
         i, j, k = i - 1, j - 1, k - 1
         outside[0][j * n + k] &= ~(1 << i)
         outside[1][i * n + k] &= ~(1 << j)
         outside[2][i * n + j] &= ~(1 << k)
+        size += 1
     # forced[s][q]: bit p set when unknown (p, q) of factor s is in U
     forced = [[outside[s][q * (n + 1)] & ~(1 << q) for q in range(n)] for s in range(3)]
-    for i, j, k in W.triples:
+    for i, j, k in staircase_triples(n):
         i, j, k = i - 1, j - 1, k - 1
         if (
             outside[0][j * n + k] & ~forced[0][i]
@@ -338,7 +341,7 @@ def _unit_forced(n):
             or outside[2][i * n + j] & ~forced[2][k]
         ):
             raise InternalError(f"H2 fails: e_w, w = {(i + 1, j + 1, k + 1)}, has a term outside W({n}) off U")
-    return W, [s * nn + p * n + q for s in range(3) for p in range(n) for q in range(n) if forced[s][q] >> p & 1]
+    return size, [s * nn + p * n + q for s in range(3) for p in range(n) for q in range(n) if forced[s][q] >> p & 1]
 
 
 def _diagonal_unknowns(n, i):
@@ -451,10 +454,10 @@ def orbit_cone_tangent_dim(n, seed) -> TangentReport:
     the module's lemma, at every point unit + w, that is the rank of the
     forms {u: 1}, u in U, and the n rows x_ii + y_ii + z_ii + column 3n^2.
     So ``seed`` only names the point, and ``attempts`` is (seed, value)."""
-    W, forced = _unit_forced(n)
+    size, forced = _unit_forced(n)
     forms = [{u: 1} for u in forced]
     forms += [dict.fromkeys(_diagonal_unknowns(n, i) + [3 * n * n], 1) for i in range(n)]
-    value = len(W) + _rank_forms(forms) - 1
+    value = size + _rank_forms(forms) - 1
     return TangentReport(n=n, value=value, expected=qmax_dimension_bound(n), attempts=((seed, value),))
 
 

@@ -271,27 +271,25 @@ def diagonal_support(n) -> Support:
     return Support.of(n, [(i, i, i) for i in range(1, n + 1)])
 
 
+def staircase_triples(n, variant="W"):
+    """The triples of W, W' or W'' in lexicographic order, generated one at
+    a time: those whose index in the variant's slot (i, j or k) exceeds one
+    of the other two."""
+    if n < 1:
+        raise InvalidValueError("n must be positive")
+    if variant not in W_VARIANTS:
+        raise InvalidValueError(f"variant must be one of {W_VARIANTS}")
+    s = W_VARIANTS.index(variant)
+    return (t for t in product(range(1, n + 1), repeat=3) if t[s - 1] < t[s] or t[s - 2] < t[s])
+
+
 def build_W(n, variant="W") -> Support:
     """One of the three staircase supports W, W', W''.
 
     |W(n)| = n^3 - n(n+1)(2n+1)/6 = (4n^3 - 3n^2 - n)/6, and the same for
     the other two variants by symmetry.
     """
-    if n < 1:
-        raise InvalidValueError("n must be positive")
-    if variant not in W_VARIANTS:
-        raise InvalidValueError(f"variant must be one of {W_VARIANTS}")
-    triples = []
-    for i, j, k in product(range(1, n + 1), repeat=3):
-        if variant == "W":
-            keep = j < i or k < i
-        elif variant == "W'":
-            keep = i < j or k < j
-        else:
-            keep = i < k or j < k
-        if keep:
-            triples.append((i, j, k))
-    return Support.of(n, triples)
+    return Support.of(n, staircase_triples(n, variant))
 
 
 def build_tight_U(n) -> Support:

@@ -295,11 +295,35 @@ def test_farkas_core_is_infeasible_and_inside_the_system(triples, rng):
         assert nullcone._solve_system(3, core_in | {extra[0]}, core_out | {extra[1], extra[2]})[0] is None
 
 
+def test_farkas_core_images_are_infeasible_on_their_sides():
+    # the enumeration records every image of a core under S_n x S_3; each
+    # image keeps the core's in/out sides and is infeasible by its own LP
+    rng = random.Random(61)
+    group = Symmetry.all(3)
+    cores = 0
+    while cores < 20:
+        triples = rng.sample(CUBE3, rng.randint(4, 12))
+        split = rng.randint(1, len(triples))
+        ins, outs = set(triples[:split]), set(triples[split:])
+        _, core = nullcone._solve_system(3, ins, outs)
+        if core is None:
+            continue
+        cores += 1
+        core_in, core_out = core
+        assert core_in <= ins and core_out <= outs
+        for g in group:
+            image_in, image_out = frozenset(map(g, core_in)), frozenset(map(g, core_out))
+            assert len(image_in) == len(core_in) and len(image_out) == len(core_out)
+            assert image_in.isdisjoint(image_out)
+            assert nullcone._solve_system(3, image_in, image_out)[0] is None
+
+
 def test_lp_work_pinned(monkeypatch):
     # certificate reuse answers most questions without an LP; solving each
     # one took 7,544 phase-1 solves for the n = 3 enumeration, and
     # [12, 12, 12, 12, 13, 6, 25] for these maximality checks; searching
-    # every member of each orbit, not just lex-leaders, took 711
+    # every member of each orbit, not just lex-leaders, took 711, and
+    # recording each Farkas core without its orbit took 248
     calls = [0]
     real = nullcone.phase_one
 
@@ -310,7 +334,7 @@ def test_lp_work_pinned(monkeypatch):
     monkeypatch.setattr(nullcone, "phase_one", counted)
     enum = enumerate_maximal_components(3)
     assert len(enum.components) == 126
-    assert calls[0] == 248
+    assert calls[0] == 153
     counts = []
     for S in named_supports() + [Support.of(2, [(2, 1, 1)]), Support.of(3, [])]:
         calls[0] = 0

@@ -17,6 +17,9 @@ from bordersub.simplex import phase_one
 # still visit the same vertices and return the same point
 RANDOM_SYSTEMS_DIGEST = "e4ab2b022b0d0b08267edfb43dac59a44672ae31b15569ddc61920d8089afb1b"
 W_CERTIFICATES_DIGEST = "eb34591e3b9f2a0e90f10d07a426347fc4f53eafadacdab55572172158ce032f"
+# sha256 of the raw phase_one outputs ((x, den), None) or (None, y) over the
+# same random systems, computed before pivots skipped identity rescales
+RANDOM_OUTPUTS_DIGEST = "e205caa2a4042ea93757d50341dacf864ff420417bcf84d56fd7aebf7e284c8a"
 
 
 def _digest(results):
@@ -166,9 +169,10 @@ def test_against_fourier_motzkin_oracle():
     assert agree_feasible > 20 and agree_infeasible > 20
 
 
-def test_same_points_as_full_tableau():
+def random_systems():
+    """500 seeded systems (d, rational rows); every fifth has fractional
+    coefficients."""
     rng = random.Random(2208)
-    results = []
     for case in range(500):
         d = rng.randint(1, 6)
         m = rng.randint(0, 25)
@@ -180,9 +184,22 @@ def test_same_points_as_full_tableau():
             else:
                 row = [rng.randint(-3, 3) for _ in range(d)]
             cons.append((row, rng.randint(-3, 3)))
-        results.append(general_solution(d, cons))
+        yield d, cons
+
+
+def test_same_points_as_full_tableau():
+    results = [general_solution(d, cons) for d, cons in random_systems()]
     assert sum(x is None for x in results) == 322
     assert _digest(results) == RANDOM_SYSTEMS_DIGEST
+
+
+def test_same_points_and_farkas_multipliers_as_before():
+    # the raw ((x, den), y) of every homogenised system: the integer
+    # numerators and denominator as well as the multipliers; unlike the
+    # nullcone systems', most pivots here rescale (piv != den)
+    results = [phase_one(d + 1, homogenised(d, cons)) for d, cons in random_systems()]
+    assert sum(point is None for point, _ in results) == 322
+    assert _digest(results) == RANDOM_OUTPUTS_DIGEST
 
 
 def test_same_W_certificates_as_full_tableau():

@@ -260,7 +260,7 @@ def test_unit_forced_refuses_supports_outside_the_lemma(monkeypatch):
     import bordersub.stabilizer as st
 
     # H1: W' has triples of negative weight under W's cocharacter
-    monkeypatch.setattr(st, "build_W", lambda n, variant="W": build_W(n, "W'"))
+    monkeypatch.setattr(st, "staircase_triples", lambda n: build_W(n, "W'").triples)
     for run in (lambda: st.cone_stabilizer_dim(3), lambda: st.orbit_cone_tangent_dim(3, 0)):
         with pytest.raises(InternalError, match="H1"):
             run()
@@ -269,7 +269,7 @@ def test_unit_forced_refuses_supports_outside_the_lemma(monkeypatch):
     smaller = Support.of(3, [t for t in build_W(3, "W").triples if t != (3, 1, 2)])
     U, forced = _lemma_sets(3, smaller)
     assert (3 - 1) * 3 + (2 - 1) in forced - U  # x_32
-    monkeypatch.setattr(st, "build_W", lambda n, variant="W": smaller)
+    monkeypatch.setattr(st, "staircase_triples", lambda n: smaller.triples)
     for run in (lambda: st.cone_stabilizer_dim(3), lambda: st.orbit_cone_tangent_dim(3, 0)):
         with pytest.raises(InternalError, match="H2"):
             run()
@@ -285,20 +285,20 @@ def test_unit_forced_matches_general_path_on_smaller_supports(monkeypatch):
     for n in (1, 2, 3, 4):
         W = build_W(n, "W")
         U, forced = _lemma_sets(n, W)
-        assert forced <= U and st._unit_forced(n) == (W, sorted(U))
+        assert forced <= U and st._unit_forced(n) == (len(W), sorted(U))
     cases = [(n, {t}) for n in (3, 4) for t in build_W(n, "W").sorted_triples()]
     cases += [(3, {(2, 1, 3), (3, 1, 3)}), (3, {(2, 3, 1), (3, 3, 1)})]
     held = 0
     for n, drop in cases:
         smaller = Support.of(n, [t for t in build_W(n, "W").triples if t not in drop])
-        monkeypatch.setattr(st, "build_W", lambda n, variant="W": smaller)
+        monkeypatch.setattr(st, "staircase_triples", lambda n: smaller.triples)
         U, forced = _lemma_sets(n, smaller)
         if not forced <= U:
             with pytest.raises(InternalError, match="H2"):
                 st._unit_forced(n)
             continue
         held += 1
-        assert st._unit_forced(n) == (smaller, sorted(U))
+        assert st._unit_forced(n) == (len(smaller), sorted(U))
         value = _tangent_oracle(n, sample_coefficients(smaller, 0))
         assert st.orbit_cone_tangent_dim(n, 0).value == value == len(smaller) + len(U) + n - 1
     assert held == 10
