@@ -62,7 +62,16 @@ reused rests on a certificate checked in exact integers:
   difference has "in" in the image and "out" in the node, g maps every
   completion of the node to a larger set, so none is a leader and the
   node is cut.  Every leader is still reached, and recording it adds its
-  whole orbit.
+  whole orbit;
+* node dictionaries: an LP the search does run is not solved from the
+  artificial basis.  Each node keeps a solved, feasible phase-1
+  dictionary (``simplex.Dictionary``) of some of its rows, the root's
+  holding none, and the rows decided since.  When the node needs an LP,
+  a copy of its dictionary first takes those rows and is solved, and
+  becomes the node's; the question is then a further copy with the one
+  row of c added, and its Farkas core is read off y over that copy's
+  rows.  A child starts from its parent's dictionary.  The maximality
+  check at a leaf asks about ins alone, so it starts from the root's.
 """
 
 from __future__ import annotations
@@ -73,9 +82,9 @@ from itertools import product
 from math import gcd
 
 from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
-from .simplex import phase_one
+from .simplex import Dictionary, phase_one
 from .tensors import Support, Symmetry
-from .weights import TorusWeight, weight_of
+from .weights import TorusWeight
 
 #: component enumeration is complete up to this format; beyond it the tool
 #: refuses unless best-effort mode is requested
@@ -134,33 +143,59 @@ def _certificate_from_point(n, x):
     return TorusWeight(n, tuple(lam), tuple(mu), tuple(nu))
 
 
-def _solve_system(n, ins, outs):
-    """Exact feasibility of {weight >= 1 on ins, weight <= 0 on outs}.
+def _positive(cert, triples):
+    """The triples of weight >= 1 under cert: ``weight_of`` without its
+    range check, for triples valid by construction."""
+    lam, mu, nu = cert.lam, cert.mu, cert.nu
+    return frozenset(t for t in triples if lam[t[0] - 1] + mu[t[1] - 1] + nu[t[2] - 1] >= 1)
 
-    Returns (certificate, None) when feasible, the certificate satisfying
-    both constraint families, and (None, (I, O)) when not: I within ins and
-    O within outs are the triples whose rows carry a positive Farkas
-    multiplier, so every system containing them is infeasible too."""
+
+def _constraint(n, t, inside):
+    """The simplex row of weight >= 1 at t (inside) or weight <= 0."""
+    row = _row(n, t)
+    return (row, 1) if inside else ([-c for c in row], 0)
+
+
+def _outcome(n, rows, result):
+    """Read a simplex result over rows, (triple, inside) pairs in row order.
+
+    Returns (certificate, None) when feasible, the certificate re-checked
+    to be >= 1 on the inside triples and <= 0 on the others, and
+    (None, (I, O)) when not: I and O are the inside and outside triples
+    whose rows carry a positive Farkas multiplier, so every system
+    containing them is infeasible too."""
+    point, y = result
+    if point is None:
+        core_in = frozenset(t for (t, inside), v in zip(rows, y) if v and inside)
+        core_out = frozenset(t for (t, inside), v in zip(rows, y) if v and not inside)
+        return None, (core_in, core_out)
+    cert = _certificate_from_point(n, point[0])
+    positive = _positive(cert, [t for t, _ in rows])
+    for t, inside in rows:
+        if (t in positive) != inside:
+            raise InternalError(f"certificate violates weight {'>= 1' if inside else '<= 0'} at {t}")
+    return cert, None
+
+
+def _extended(n, lp, rows, new):
+    """A copy of the dictionary lp over rows with the rows new added, and
+    its rows; lp itself is left as it is."""
+    lp = lp.copy()
+    for t, inside in new:
+        lp.add(*_constraint(n, t, inside))
+    return lp, rows + new
+
+
+def _solve_system(n, ins, outs):
+    """Exact feasibility of {weight >= 1 on ins, weight <= 0 on outs},
+    solved from the start; returns what ``_outcome`` does."""
     for t in ins:
         if t[0] == t[1] == t[2]:
             return None, (frozenset([t]), frozenset())
-    ins = sorted(ins)
-    outs = sorted(outs)
-    constraints = [(_row(n, t), 1) for t in ins]
-    constraints += [([-c for c in _row(n, t)], 0) for t in outs]
-    point, y = phase_one(2 * (n - 1), constraints)
-    if point is None:
-        core_in = frozenset(t for t, v in zip(ins, y) if v)
-        core_out = frozenset(t for t, v in zip(outs, y[len(ins):]) if v)
-        return None, (core_in, core_out)
-    cert = _certificate_from_point(n, point[0])
-    for t in ins:
-        if weight_of(cert, t) < 1:
-            raise InternalError(f"certificate violates weight >= 1 at {t}")
-    for t in outs:
-        if weight_of(cert, t) > 0:
-            raise InternalError(f"certificate violates weight <= 0 at {t}")
-    return cert, None
+    ins, outs = sorted(ins), sorted(outs)
+    cons = [(_row(n, t), 1) for t in ins] + [([-c for c in _row(n, t)], 0) for t in outs]
+    rows = [(t, True) for t in ins] + [(t, False) for t in outs]
+    return _outcome(n, rows, phase_one(2 * (n - 1), cons))
 
 
 def nullcone_feasible(S: Support) -> FeasibilityOutcome:
@@ -176,23 +211,30 @@ def nullcone_feasible(S: Support) -> FeasibilityOutcome:
 def is_maximal_nullcone_support(S: Support):
     """(maximal?, extendable triples).  Requires S itself feasible.
 
-    A triple of positive weight under the base certificate, or under one
-    returned for an earlier extension, extends S with no further LP."""
-    base = nullcone_feasible(S)
-    if not base.feasible:
+    S is solved once, as ``nullcone_feasible`` solves it.  A triple of
+    positive weight under that certificate, or under one returned for an
+    earlier extension, extends S with no further LP; any other off-diagonal
+    triple t is decided on a copy of S's solved dictionary with the row of
+    t added."""
+    n = S.n
+    rows = [(t, True) for t in S.sorted_triples()]
+    lp = Dictionary(2 * (n - 1), [_constraint(n, *r) for r in rows])
+    cert, _ = _outcome(n, rows, lp.solve())
+    if cert is None:
         raise PreconditionError("support is not in the nullcone; maximality is undefined")
-    certs = [base.certificate]
+    cube = list(product(range(1, n + 1), repeat=3))
+    covered = _positive(cert, cube)
     extendable = []
-    for t in product(range(1, S.n + 1), repeat=3):
-        if t in S:
+    for t in cube:
+        if t in S or t[0] == t[1] == t[2]:
             continue
-        if any(weight_of(c, t) >= 1 for c in certs):
-            extendable.append(t)
-            continue
-        cert, _ = _solve_system(S.n, S.triples | {t}, ())
-        if cert is not None:
-            extendable.append(t)
-            certs.append(cert)
+        if t not in covered:
+            child, child_rows = _extended(n, lp, rows, [(t, True)])
+            cert, _ = _outcome(n, child_rows, child.solve())
+            if cert is None:
+                continue
+            covered |= _positive(cert, cube)
+        extendable.append(t)
     return len(extendable) == 0, extendable
 
 
@@ -256,9 +298,6 @@ def _enumerate(n, universe):
     maps = _position_maps(n, universe)
     moves = [dict(zip(universe, [universe[s] for s in m])) for m in maps]  # the same maps on triples
 
-    def positive(cert):
-        return frozenset(t for t in universe if weight_of(cert, t) >= 1)
-
     def holding(ins, outs=()):
         """Bitmask of the hits whose support holds ins and misses outs."""
         mask = (1 << len(hits)) - 1
@@ -268,7 +307,19 @@ def _enumerate(n, universe):
             mask &= ~holders[t]
         return mask
 
-    def extend(ins, outs, c, inside):
+    def solve(node, row):
+        """The outcome of node's system plus row.  node is [dictionary,
+        its rows, rows decided since it was solved]; the dictionary is
+        brought up to date first, so later questions at the node reuse it."""
+        lp, rows, todo = node
+        if todo:
+            lp, rows = _extended(n, lp, rows, todo)
+            lp.solve()
+            node[:] = lp, rows, []
+        lp, rows = _extended(n, lp, rows, [row])
+        return _outcome(n, rows, lp.solve())
+
+    def extend(ins, outs, c, inside, node):
         """(P, certificate) for the system with c added to ins (inside) or
         to outs, or None when it is infeasible.  Assumes (ins, outs) is
         feasible, so a core that applies must contain c."""
@@ -282,7 +333,7 @@ def _enumerate(n, universe):
         mask = holding(ins, outs)
         if mask:
             return hits[(mask & -mask).bit_length() - 1]
-        cert, core = _solve_system(n, ins, outs)
+        cert, core = solve(node, (c, inside))
         if cert is None:
             I, O = core
             images = ((frozenset(map(g.__getitem__, I)), frozenset(map(g.__getitem__, O))) for g in moves)
@@ -292,13 +343,13 @@ def _enumerate(n, universe):
                 for t in core[1]:
                     out_cores[t].append(core)
             return None
-        return positive(cert), cert
+        return _positive(cert, universe), cert
 
     def record(ins, cert):
         for image, moved in _symmetric_images(n, ins, cert):
             if image in found:
                 continue
-            if positive(moved) != image:
+            if _positive(moved, universe) != image:
                 raise InternalError(f"moved certificate does not certify the image {sorted(image)}")
             bit = 1 << len(hits)
             for t in image:
@@ -306,9 +357,10 @@ def _enumerate(n, universe):
             hits.append((image, moved))
             found.add(image)
 
-    def dfs(ins, outs, undecided, certs):
+    def dfs(ins, outs, undecided, certs, node):
         # certs: (positive support, certificate) pairs satisfying (ins, outs);
-        # each forced decision lands on the side all of them already take
+        # each forced decision lands on the side all of them already take.
+        # node: see solve; its rows are some of (ins, outs)
         undecided = list(undecided)
         changed = True
         while changed:
@@ -322,7 +374,7 @@ def _enumerate(n, universe):
                         held_out = True
                 if held_in and held_out:
                     continue
-                hit = extend(ins, outs, c, held_out)
+                hit = extend(ins, outs, c, held_out, node)
                 if hit is not None:
                     certs.append(hit)
                     continue
@@ -330,6 +382,7 @@ def _enumerate(n, universe):
                     ins = ins | {c}
                 else:
                     outs = outs | {c}
+                node[2].append((c, held_in))
                 undecided.remove(c)
                 changed = True
         if holding(ins.union(undecided)):
@@ -338,18 +391,22 @@ def _enumerate(n, universe):
             return
         if not undecided:
             empty = frozenset()
+            # the rows of ins alone, as the node's dictionary holds outs too
+            only_ins = [root, [], [(t, True) for t in sorted(ins)]]
             for t in universe:
-                if t not in ins and extend(ins, empty, t, True) is not None:
+                if t not in ins and extend(ins, empty, t, True, only_ins) is not None:
                     return  # feasible but not maximal
             record(ins, certs[0][1])
             return
         c = undecided[0]
         rest = undecided[1:]
-        dfs(ins | {c}, outs, rest, [h for h in certs if c in h[0]])
-        dfs(ins, outs | {c}, rest, [h for h in certs if c not in h[0]])
+        lp, rows, todo = node
+        dfs(ins | {c}, outs, rest, [h for h in certs if c in h[0]], [lp, rows, todo + [(c, True)]])
+        dfs(ins, outs | {c}, rest, [h for h in certs if c not in h[0]], [lp, rows, todo + [(c, False)]])
 
-    root, _ = _solve_system(n, (), ())
-    dfs(frozenset(), frozenset(), tuple(universe), [(positive(root), root)])
+    root = Dictionary(2 * (n - 1))
+    zero, _ = _outcome(n, [], root.solve())
+    dfs(frozenset(), frozenset(), tuple(universe), [(_positive(zero, universe), zero)], [root, [], []])
     return [P for P, _ in hits]
 
 

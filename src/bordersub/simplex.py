@@ -55,12 +55,37 @@ by den, y_r is read off the dictionary:
 * den when art_r is basic;
 * 0 when sur_r is basic.
 
-Both outcomes are re-checked in exact integers before they are returned:
-the point against every row, the multipliers for y >= 0, y^T A = 0 and
-y^T b > 0.
+A dictionary can be kept, copied and given another row a . x >= b,
+b >= 0, then solved again (Chvatal, ch. 10, on adding a constraint).
+``Dictionary.add`` writes the row in the current basis.  Let abar be a_j
+on u_j, -a_j on v_j and 0 on every surplus and artificial.  Then the
+row's entry in slot k is den * a_j when the slot holds u_j (0 when it
+holds a surplus) minus sum_i abar(basis_i) cols[k][i], and its right-hand
+side is den * b - sum_i abar(basis_i) rhs_i.  When that right-hand side is
+>= 0 the new artificial becomes basic at that value, and its cost den
+takes the row off the reduced costs and the right-hand side off the
+objective.  Otherwise the row is negated and the new surplus becomes
+basic at minus that value.  Either way every basic variable stays >= 0,
+so the basis is primal feasible for the extended phase-1 problem, and the
+same loop goes on from it with no dual simplex.  The new basic column is
++-e on the new row, so the basis determinant keeps its absolute value den
+and every entry is still a minor.  In Bland's virtual order the new
+surplus is 2d + m, and every artificial index moves up by one.
+
+Bland's rule terminates from any feasible basis, not only the artificial
+one, and the phase-1 objective stays bounded below by zero.  The reduced
+costs depend on the basis alone, not on the pivots that reached it, so
+the final dictionary of a warm solve is the full tableau's at its basis
+and y is read off it as above.
+
+Both outcomes are re-checked in exact integers before they are returned,
+against every row, added ones included: the point against each row, the
+multipliers for y >= 0, y^T A = 0 and y^T b > 0.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import InternalError, InvalidValueError
 
@@ -73,117 +98,185 @@ def phase_one(num_vars, cons):
     an integer such that x / den is a solution, or (None, y) with integer
     Farkas multipliers, one per constraint: y >= 0, sum y_r coeffs_r = 0
     and sum y_r rhs_r > 0."""
-    d = num_vars
-    if not cons:
-        return ([0] * d, 1), None
-    m = len(cons)
-    rhs = [b for _, b in cons]
-    if min(rhs) < 0:
+    return Dictionary(num_vars, cons).solve()
+
+
+def _check_rhs(rhs):
+    if rhs < 0:
         raise InvalidValueError("right-hand sides must be >= 0; homogenise to a . x - b t >= 0, t >= 1")
-    # virtual column indices: u_j = j, v_j = d + j, sur_r = 2d + r,
-    # art_r = 2d + m + r; a pair is named by its first member (u_j, sur_r)
-    V, SUR, ART = d, 2 * d, 2 * d + m
 
-    # cols[k]: the first-member column of slot k
-    cols = [list(col) for col in zip(*(row for row, _ in cons))]
-    zs = [-sum(col) for col in cols]  # reduced cost of each slot's first member
-    pair = list(range(d))  # the pair held in each slot
-    basis = [ART + r for r in range(m)]
-    obj = -sum(rhs)
-    den = 1
 
-    while True:
-        enter = None
-        for k in range(d):
-            p, zk = pair[k], zs[k]
-            if zk < 0:  # u_j or sur_r
-                e, ze, sign = p, zk, 1
-            else:  # v_j = -u_j, or art_r = -sur_r at cost den
-                ze = (den if p >= SUR else 0) - zk
-                if ze >= 0:
-                    continue
-                e, sign = p + (m if p >= SUR else d), -1
-            if enter is None or e < enter:
-                enter, slot, zf, esign = e, k, ze, sign
-        if enter is None:
-            break
+class Dictionary:
+    """The phase-1 dictionary of integer rows (coeffs, rhs), rhs >= 0, over
+    num_vars free unknowns: built in the start state (every artificial
+    basic), extended by ``add``, decided by ``solve`` as ``phase_one``
+    does.  ``copy`` gives an independent dictionary to extend, so a solved
+    system can answer many one-row extensions."""
 
-        col = cols[slot]
-        ecol = col if esign > 0 else [-c for c in col]
-        leave = None
-        for i in range(m):
-            a = ecol[i]
-            if a > 0:
-                if leave is None:
-                    leave = i
-                else:
-                    lhs = rhs[i] * ecol[leave]
-                    rhsv = rhs[leave] * a
-                    if lhs < rhsv or (lhs == rhsv and basis[i] < basis[leave]):
+    __slots__ = ("num_vars", "cons", "cols", "zs", "pair", "basis", "rhs", "obj", "den", "pivots")
+
+    def __init__(self, num_vars, cons=()):
+        d = num_vars
+        cons = list(cons)
+        m = len(cons)
+        rhs = [b for _, b in cons]
+        _check_rhs(min(rhs, default=0))
+        self.num_vars = d
+        self.cons = cons
+        # cols[k]: the first-member column of slot k; zs[k]: its reduced cost
+        self.cols = [list(col) for col in zip(*(row for row, _ in cons))] if m else [[] for _ in range(d)]
+        self.zs = [-sum(col) for col in self.cols]
+        self.pair = list(range(d))  # the pair held in each slot
+        self.basis = [2 * d + m + r for r in range(m)]
+        self.rhs = rhs
+        self.obj = -sum(rhs)
+        self.den = 1
+        self.pivots = 0  # pivots made since the start state
+
+    def copy(self):
+        new = Dictionary.__new__(Dictionary)
+        new.num_vars, new.obj, new.den, new.pivots = self.num_vars, self.obj, self.den, self.pivots
+        new.cons, new.zs, new.pair, new.basis, new.rhs = (
+            list(self.cons), list(self.zs), list(self.pair), list(self.basis), list(self.rhs)
+        )
+        new.cols = [list(col) for col in self.cols]
+        return new
+
+    def add(self, coeffs, rhs):
+        """Append the row coeffs . x >= rhs, written in the current basis;
+        the basis stays primal feasible (see the module docstring)."""
+        _check_rhs(rhs)
+        d, m, den, basis = self.num_vars, len(self.cons), self.den, self.basis
+        art = 2 * d + m  # the first artificial, before the shift
+        row = [den * coeffs[p] if p < d else 0 for p in self.pair]
+        b = den * rhs
+        # eliminate each basic u_j (coefficient a_j) and v_j (-a_j)
+        for i, var in enumerate(basis):
+            if var < 2 * d:
+                a = coeffs[var] if var < d else -coeffs[var - d]
+                if a:
+                    row = [r - a * col[i] for r, col in zip(row, self.cols)]
+                    b -= a * self.rhs[i]
+        self.basis = [var + 1 if var >= art else var for var in basis]
+        if b >= 0:  # the new artificial is basic, at cost den
+            self.basis.append(art + 1 + m)
+            self.zs = [z - r for z, r in zip(self.zs, row)]
+            self.obj -= b
+        else:  # the new surplus is basic
+            self.basis.append(art)
+            row = [-r for r in row]
+            b = -b
+        for col, r in zip(self.cols, row):
+            col.append(r)
+        self.rhs.append(b)
+        self.cons.append((coeffs, rhs))
+
+    def solve(self):
+        """Run Bland's rule from the current basis to the phase-1 optimum
+        and return what ``phase_one`` returns for every row added so far."""
+        d, cons = self.num_vars, self.cons
+        m = len(cons)
+        # virtual column indices: u_j = j, v_j = d + j, sur_r = 2d + r,
+        # art_r = 2d + m + r; a pair is named by its first member (u_j, sur_r)
+        V, SUR, ART = d, 2 * d, 2 * d + m
+        cols, zs, pair, basis = self.cols, self.zs, self.pair, self.basis
+        rhs, obj, den = self.rhs, self.obj, self.den
+        pivots = self.pivots
+
+        while True:
+            enter = None
+            for k in range(d):
+                p, zk = pair[k], zs[k]
+                if zk < 0:  # u_j or sur_r
+                    e, ze, sign = p, zk, 1
+                else:  # v_j = -u_j, or art_r = -sur_r at cost den
+                    ze = (den if p >= SUR else 0) - zk
+                    if ze >= 0:
+                        continue
+                    e, sign = p + (m if p >= SUR else d), -1
+                if enter is None or e < enter:
+                    enter, slot, zf, esign = e, k, ze, sign
+            if enter is None:
+                break
+
+            col = cols[slot]
+            ecol = col if esign > 0 else [-c for c in col]
+            leave = None
+            for i in range(m):
+                a = ecol[i]
+                if a > 0:
+                    if leave is None:
                         leave = i
-        if leave is None:
-            # the phase-1 objective is bounded below by zero
-            raise InternalError("phase-1 simplex unbounded")
-        piv = ecol[leave]
-        rescale = piv != den
-        for k in range(d):
-            if k == slot:
-                continue
-            c = cols[k]
-            pk = c[leave]
-            if pk:
-                c = [(x * piv - f * pk) // den for x, f in zip(c, ecol)]
-                c[leave] = pk
-                cols[k] = c
-                zs[k] = (zs[k] * piv - zf * pk) // den
-            elif rescale:
-                cols[k] = [x * piv // den for x in c]
-                zs[k] = zs[k] * piv // den
-        prhs = rhs[leave]
-        if prhs or rescale:
-            rhs = [(x * piv - f * prhs) // den for x, f in zip(rhs, ecol)]
-            rhs[leave] = prhs
-        obj = (obj * piv - zf * prhs) // den
+                    else:
+                        lhs = rhs[i] * ecol[leave]
+                        rhsv = rhs[leave] * a
+                        if lhs < rhsv or (lhs == rhsv and basis[i] < basis[leave]):
+                            leave = i
+            if leave is None:
+                # the phase-1 objective is bounded below by zero
+                raise InternalError("phase-1 simplex unbounded")
+            piv = ecol[leave]
+            rescale = piv != den
+            for k in range(d):
+                if k == slot:
+                    continue
+                c = cols[k]
+                pk = c[leave]
+                if pk:
+                    c = [(x * piv - f * pk) // den for x, f in zip(c, ecol)]
+                    c[leave] = pk
+                    cols[k] = c
+                    zs[k] = (zs[k] * piv - zf * pk) // den
+                elif rescale:
+                    cols[k] = [x * piv // den for x in c]
+                    zs[k] = zs[k] * piv // den
+            prhs = rhs[leave]
+            if prhs or rescale:
+                rhs = [(x * piv - f * prhs) // den for x, f in zip(rhs, ecol)]
+                rhs[leave] = prhs
+            obj = (obj * piv - zf * prhs) // den
 
-        # the leaving column becomes -ecol off the pivot row and den on it;
-        # tau maps it to its pair's first member
-        out = basis[leave]
-        tau, zold = 1, 0
-        if out >= ART:  # sur_r = -art_r, and z(sur_r) was den; times piv/den
-            tau, zold, out = -1, piv, out - m
-        elif V <= out < SUR:  # u_j = -v_j
-            tau, out = -1, out - d
-        c = [-f for f in ecol] if tau > 0 else list(ecol)
-        c[leave] = tau * den
-        cols[slot] = c
-        zs[slot] = zold - zf * tau
-        pair[slot] = out
-        basis[leave] = enter
-        den = piv
+            # the leaving column becomes -ecol off the pivot row and den on it;
+            # tau maps it to its pair's first member
+            out = basis[leave]
+            tau, zold = 1, 0
+            if out >= ART:  # sur_r = -art_r, and z(sur_r) was den; times piv/den
+                tau, zold, out = -1, piv, out - m
+            elif V <= out < SUR:  # u_j = -v_j
+                tau, out = -1, out - d
+            c = [-f for f in ecol] if tau > 0 else list(ecol)
+            c[leave] = tau * den
+            cols[slot] = c
+            zs[slot] = zold - zf * tau
+            pair[slot] = out
+            basis[leave] = enter
+            den = piv
+            pivots += 1
 
-    if obj != 0:
-        y = [0] * m
-        for k in range(d):
-            if pair[k] >= SUR:
-                y[pair[k] - SUR] = zs[k]
-        for var in basis:
-            if var >= ART:
-                y[var - ART] = den
-        if any(v < 0 for v in y):
-            raise InternalError("simplex returned negative Farkas multipliers")
-        for j in range(d):
-            if sum(v * row[j] for v, (row, _) in zip(y, cons) if v):
-                raise InternalError("Farkas multipliers do not cancel the rows")
-        if sum(v * b for v, (_, b) in zip(y, cons)) <= 0:
-            raise InternalError("Farkas multipliers give no contradiction")
-        return None, y
-    x = [0] * d
-    for i, var in enumerate(basis):
-        if var < V:
-            x[var] += rhs[i]
-        elif var < SUR:
-            x[var - d] -= rhs[i]
-    for row, b in cons:
-        if sum(c * xi for c, xi in zip(row, x)) < b * den:
-            raise InternalError("simplex returned an infeasible point")
-    return (x, den), None
+        self.rhs, self.obj, self.den, self.pivots = rhs, obj, den, pivots
+        if obj != 0:
+            y = [0] * m
+            for k in range(d):
+                if pair[k] >= SUR:
+                    y[pair[k] - SUR] = zs[k]
+            for var in basis:
+                if var >= ART:
+                    y[var - ART] = den
+            if any(v < 0 for v in y):
+                raise InternalError("simplex returned negative Farkas multipliers")
+            for j in range(d):
+                if sum(v * row[j] for v, (row, _) in zip(y, cons) if v):
+                    raise InternalError("Farkas multipliers do not cancel the rows")
+            if sum(v * b for v, (_, b) in zip(y, cons)) <= 0:
+                raise InternalError("Farkas multipliers give no contradiction")
+            return None, y
+        x = [0] * d
+        for i, var in enumerate(basis):
+            if var < V:
+                x[var] += rhs[i]
+            elif var < SUR:
+                x[var - d] -= rhs[i]
+        for row, b in cons:
+            if sum(map(mul, row, x)) < b * den:
+                raise InternalError("simplex returned an infeasible point")
+        return (x, den), None

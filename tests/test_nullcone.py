@@ -23,6 +23,7 @@ from bordersub import (
     positive_support,
     weight_of,
 )
+from bordersub.simplex import Dictionary
 from bordersub.tensors import W_VARIANTS
 
 EX1 = TorusWeight(3, (5, 0, 2), (0, 1, -3), (-5, -1, 1))
@@ -138,6 +139,31 @@ def test_empty_support_maximal_only_at_n1():
     assert ok and extendable == []
     ok, extendable = is_maximal_nullcone_support(Support.of(2, []))
     assert not ok and len(extendable) == 6
+
+
+def test_maximality_agrees_with_a_solve_per_triple():
+    # is_maximal_nullcone_support decides each extension on a copy of S's
+    # solved dictionary; the reference solves S plus t from the start for
+    # every triple t of the cube.  The supports are feasible subsets of
+    # seeded positive supports: half near-maximal (n <= 4), half small
+    rng = random.Random(67)
+    maximal = 0
+    for case in range(248):
+        n = 2 + case % 4
+        lam = [rng.randint(-4, 4) for _ in range(n)]
+        mu = [rng.randint(-4, 4) for _ in range(n)]
+        P = positive_support(TorusWeight(n, lam, mu, [-a - b for a, b in zip(lam, mu)])).sorted_triples()
+        if n < 5 and case % 8 < 4:
+            k = max(len(P) - rng.randint(0, 3), 0)
+        else:
+            k = rng.randint(0, min(len(P), 3 * n))
+        S = Support.of(n, rng.sample(P, k))
+        ok, extendable = is_maximal_nullcone_support(S)
+        cube = product(range(1, n + 1), repeat=3)
+        assert extendable == [t for t in cube if t not in S and nullcone._solve_system(n, S.triples | {t}, ())[0]]
+        assert ok == (not extendable)
+        maximal += ok
+    assert maximal == 13
 
 
 def test_enumerate_n1():
@@ -323,24 +349,31 @@ def test_lp_work_pinned(monkeypatch):
     # one took 7,544 phase-1 solves for the n = 3 enumeration, and
     # [12, 12, 12, 12, 13, 6, 25] for these maximality checks; searching
     # every member of each orbit, not just lex-leaders, took 711, and
-    # recording each Farkas core without its orbit took 248
-    calls = [0]
-    real = nullcone.phase_one
+    # recording each Farkas core without its orbit took 248.  Every solve
+    # counts, from the start or from a kept dictionary, and so does every
+    # pivot: solving each LP from the start took 153 solves and 3,483
+    # pivots at n = 3, and 218, 188, 185, 193, 247, 5 and 8 pivots for the
+    # maximality checks
+    work = [0, 0]
+    real = Dictionary.solve
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(lp):
+        before = lp.pivots
+        out = real(lp)
+        work[0] += 1
+        work[1] += lp.pivots - before
+        return out
 
-    monkeypatch.setattr(nullcone, "phase_one", counted)
+    monkeypatch.setattr(Dictionary, "solve", counted)
     enum = enumerate_maximal_components(3)
     assert len(enum.components) == 126
-    assert calls[0] == 153
+    assert work == [260, 716]
     counts = []
     for S in named_supports() + [Support.of(2, [(2, 1, 1)]), Support.of(3, [])]:
-        calls[0] = 0
+        work[:] = [0, 0]
         is_maximal_nullcone_support(S)
-        counts.append(calls[0])
-    assert counts == [12, 12, 12, 12, 13, 4, 9]
+        counts.append(tuple(work))
+    assert counts == [(12, 27), (12, 24), (12, 23), (12, 23), (13, 24), (4, 3), (9, 8)]
 
 
 def test_certificates_on_general_supports_pinned():

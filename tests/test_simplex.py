@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bordersub import InvalidValueError, build_W, nullcone_feasible
-from bordersub.simplex import phase_one
+from bordersub.simplex import Dictionary, phase_one
 
 # sha256 of the outputs below, one repr per line.  The random systems were
 # digested over their homogenisations by the simplex that still took
@@ -202,6 +202,54 @@ def test_same_points_and_farkas_multipliers_as_before():
     assert _digest(results) == RANDOM_OUTPUTS_DIGEST
 
 
+def verdict(num_vars, rows, outcome):
+    """Whether outcome, a simplex result over the integer rows, is a point;
+    checked here against every row: the point meets each, or y >= 0 with
+    y^T A = 0 and y^T b > 0."""
+    point, y = outcome
+    assert (point is None) != (y is None)
+    if point is not None:
+        x, den = point
+        assert den > 0
+        for row, b in rows:
+            assert sum(c * xi for c, xi in zip(row, x)) >= b * den
+        return True
+    assert len(y) == len(rows) and all(v >= 0 for v in y)
+    for j in range(num_vars):
+        assert sum(v * row[j] for v, (row, _) in zip(y, rows)) == 0
+    assert sum(v * b for v, (_, b) in zip(y, rows)) > 0
+    return False
+
+
+def warm_equals_cold(num_vars, rows, prefix):
+    """Solve rows[:prefix] from the start, then add the other rows one at a
+    time to a copy of the last dictionary and solve again; every verdict
+    must equal the one of solving the same rows from the start."""
+    first = lp = Dictionary(num_vars, rows[:prefix])
+    feasible = phase_one(num_vars, rows[:prefix])[0] is not None
+    assert verdict(num_vars, rows[:prefix], lp.solve()) == feasible
+    for r in range(prefix, len(rows)):
+        lp = lp.copy()
+        lp.add(*rows[r])
+        feasible = phase_one(num_vars, rows[: r + 1])[0] is not None
+        assert verdict(num_vars, rows[: r + 1], lp.solve()) == feasible
+    # the copies left the first dictionary as it was: it takes all the
+    # other rows at once and reaches the same verdict
+    for row in rows[prefix:]:
+        first.add(*row)
+    assert verdict(num_vars, rows, first.solve()) == feasible
+
+
+def test_added_rows_give_the_verdicts_of_solving_from_the_start():
+    # the homogenised systems with t >= 1 first, so that a prefix can be
+    # infeasible, and a seeded prefix solved before the rest are added
+    rng = random.Random(73)
+    for d, cons in random_systems():
+        rows = homogenised(d, cons)
+        rows = rows[-1:] + rows[:-1]
+        warm_equals_cold(d + 1, rows, rng.randint(0, len(rows)))
+
+
 def test_same_W_certificates_as_full_tableau():
     certs = [nullcone_feasible(build_W(n)).certificate for n in range(2, 7)]
     assert _digest(certs) == W_CERTIFICATES_DIGEST
@@ -248,3 +296,11 @@ def test_farkas_multipliers_on_planted_contradiction():
     # x0 - x1 >= 1, x1 >= 0, -x0 >= 0: the sum of all three rows reads 0 >= 1
     point, y = phase_one(2, [([1, -1], 1), ([0, 1], 0), ([-1, 0], 0)])
     assert point is None and y == [y[0]] * 3 and y[0] > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(systems(), st.integers(min_value=0, max_value=26))
+def test_added_rows_agree_with_solving_from_the_start(system, prefix):
+    d, cons = system
+    rows = homogenised(d, cons)
+    warm_equals_cold(d + 1, rows[-1:] + rows[:-1], min(prefix, len(rows)))
