@@ -30,13 +30,16 @@ Most of the questions the search asks are answered by a certificate
 already in hand; the LP runs only when none decides.  Each answer so
 reused rests on a certificate checked in exact integers:
 
-* carried certificates: a node keeps the verified certificates whose
-  positive supports P satisfy its constraints (ins within P, outs outside
-  P).  "Can c join?" is yes when some P holds c, and "can c stay out?" when
-  some P misses c; a triple held both ways stays undecided with no LP.  A
-  forced triple lands on the side every solution takes, so the list stays
-  valid through propagation; a child inherits the members that agree with
-  its branch, and every feasible LP answer joins the list;
+* known supports: the positive support P of every verified certificate
+  the search meets (each feasible LP answer and each recorded component)
+  is kept in one index, where each triple has a bitmask of the P holding
+  it.  The P with ins within P and outs outside P are an AND over ins and
+  an AND-NOT over outs; each is a certificate of that node.  "Can c
+  join?" is yes when one of them holds c, and "can c stay out?" when one
+  misses c; a triple held both ways stays undecided with no LP.  A forced
+  triple lands on the side every solution takes, so the node's set stays
+  valid through propagation.  The components among the P prune by
+  domination, an AND over the candidate pool;
 * Farkas cores: an infeasible LP returns multipliers y >= 0 with
   y^T A = 0 and y^T b > 0 (checked by the simplex); the rows with y_r > 0
   name a core (I, O), and every system with ins containing I and outs
@@ -48,12 +51,8 @@ reused rests on a certificate checked in exact integers:
   ``tensors.Symmetry``, and a certificate maps along, so a recorded
   component is recorded with its whole orbit, each image with its
   transformed certificate, re-checked to be >= 1 on the image and <= 0
-  off it.  Found components then answer feasibility (ins within M, outs
-  outside M) and prune by domination sooner;
-* an index of found components: each triple keeps a bitmask of the
-  components holding it, so "some M with ins within M and outs outside M"
-  is an AND over ins and an AND-NOT over outs, its lowest bit the first
-  such M found, and domination is an AND over the candidate pool;
+  off it.  Core images, component images and the pruning below all read
+  one table of the group's maps on triples, built once per search;
 * orbit-representative pruning: order supports by their in/out vectors
   over the triple order, "in" above "out", so the leader (largest member)
   of an orbit is the member the in-first search meets first.  Compare a
@@ -84,7 +83,7 @@ from math import gcd
 from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
 from .simplex import Dictionary, phase_one
 from .tensors import Support, Symmetry
-from .weights import TorusWeight
+from .weights import TorusWeight, _positive
 
 #: component enumeration is complete up to this format; beyond it the tool
 #: refuses unless best-effort mode is requested
@@ -143,13 +142,6 @@ def _certificate_from_point(n, x):
     return TorusWeight(n, tuple(lam), tuple(mu), tuple(nu))
 
 
-def _positive(cert, triples):
-    """The triples of weight >= 1 under cert: ``weight_of`` without its
-    range check, for triples valid by construction."""
-    lam, mu, nu = cert.lam, cert.mu, cert.nu
-    return frozenset(t for t in triples if lam[t[0] - 1] + mu[t[1] - 1] + nu[t[2] - 1] >= 1)
-
-
 def _constraint(n, t, inside):
     """The simplex row of weight >= 1 at t (inside) or weight <= 0."""
     row = _row(n, t)
@@ -192,10 +184,8 @@ def _solve_system(n, ins, outs):
     for t in ins:
         if t[0] == t[1] == t[2]:
             return None, (frozenset([t]), frozenset())
-    ins, outs = sorted(ins), sorted(outs)
-    cons = [(_row(n, t), 1) for t in ins] + [([-c for c in _row(n, t)], 0) for t in outs]
-    rows = [(t, True) for t in ins] + [(t, False) for t in outs]
-    return _outcome(n, rows, phase_one(2 * (n - 1), cons))
+    rows = [(t, True) for t in sorted(ins)] + [(t, False) for t in sorted(outs)]
+    return _outcome(n, rows, phase_one(2 * (n - 1), [_constraint(n, *r) for r in rows]))
 
 
 def nullcone_feasible(S: Support) -> FeasibilityOutcome:
@@ -238,22 +228,17 @@ def is_maximal_nullcone_support(S: Support):
     return len(extendable) == 0, extendable
 
 
-def _position_maps(n, universe):
-    """For every g in S_n x S_3 but the identity, the position of g(t) for
-    each position t of universe; the group holds each inverse, so these
-    are also the maps t -> g^-1(t)."""
-    index = {t: a for a, t in enumerate(universe)}
-    return [[index[g(t)] for t in universe] for g in Symmetry.all(n)[1:]]
-
-
-def _not_leader(state, maps):
-    """True when some map sends every completion of state (True for in,
-    False for out, None for undecided) to a larger in/out vector, "in"
-    above "out": up to the first position undecided on either side, the
-    first difference has "in" in the image and "out" in state."""
-    for m in maps:
-        for a, s in zip(state, m):
-            b = state[s]
+def _not_leader(state, table):
+    """True when some g of table sends every completion of state to a
+    larger in/out vector, "in" above "out".  state maps each triple, in the
+    search's order, to True (in), False (out) or None (undecided).  The
+    image reads state at g(t) in the place of t; the group holds each
+    inverse, so these are all the images.  Up to the first place undecided
+    on either side, the first difference has "in" in the image and "out"
+    in state."""
+    for _, move in table[1:]:
+        for t, a in state.items():
+            b = state[move[t]]
             if a is None or b is None:
                 break
             if a != b:
@@ -263,14 +248,18 @@ def _not_leader(state, maps):
     return False
 
 
-def _symmetric_images(n, triples, cert):
-    """(image support, image certificate) under each element g of
-    S_n x S_3.  g moves the certificate's vectors as it moves the slots and
-    indices of a triple, so the image certificate certifies the image
-    support."""
+def _images(table, triples, cert):
+    """{image support: image certificate} under the elements g of table,
+    each image once, with the certificate of the first g that reaches it.
+    g moves the certificate's vectors as it moves the slots and indices of
+    a triple, so the image certificate certifies the image support."""
     vectors = (cert.lam, cert.mu, cert.nu)
-    for g in Symmetry.all(n):
-        yield frozenset(map(g, triples)), TorusWeight(n, *g.on_vectors(vectors))
+    images = {}
+    for g, move in table:
+        image = frozenset(map(move.__getitem__, triples))
+        if image not in images:
+            images[image] = TorusWeight(cert.n, *g.on_vectors(vectors))
+    return images
 
 
 @dataclass(frozen=True)
@@ -289,18 +278,24 @@ class ComponentEnumeration:
 
 def _enumerate(n, universe):
     """The maximal feasible supports over universe, as frozensets."""
-    hits = []  # (support, verified certificate) of each found component, in order
-    found = set()  # the supports of hits
-    holders = dict.fromkeys(universe, 0)  # triple t -> bitmask of the hits whose support holds t
+    known = []  # (positive support P, verified certificate): each feasible LP answer and recorded image
+    holders = dict.fromkeys(universe, 0)  # triple t -> bitmask of the known P that hold t
+    recorded = 0  # bitmask of the known P that are components
     in_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in I
     out_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in O
+    table = [(g, {t: g(t) for t in universe}) for g in Symmetry.all(n)]  # the identity first
 
-    maps = _position_maps(n, universe)
-    moves = [dict(zip(universe, [universe[s] for s in m])) for m in maps]  # the same maps on triples
+    def learn(P, cert):
+        """Add (P, cert) to the index and return its bit."""
+        bit = 1 << len(known)
+        for t in P:
+            holders[t] |= bit
+        known.append((P, cert))
+        return bit
 
     def holding(ins, outs=()):
-        """Bitmask of the hits whose support holds ins and misses outs."""
-        mask = (1 << len(hits)) - 1
+        """Bitmask of the known P that hold ins and miss outs."""
+        mask = (1 << len(known)) - 1
         for t in ins:
             mask &= holders[t]
         for t in outs:
@@ -320,63 +315,55 @@ def _enumerate(n, universe):
         return _outcome(n, rows, lp.solve())
 
     def extend(ins, outs, c, inside, node):
-        """(P, certificate) for the system with c added to ins (inside) or
-        to outs, or None when it is infeasible.  Assumes (ins, outs) is
-        feasible, so a core that applies must contain c."""
+        """The bit of a known P that satisfies the system with c added to
+        ins (inside) or to outs, learned from an LP when none does, or 0
+        when the system is infeasible.  Assumes (ins, outs) is feasible, so
+        a core that applies must contain c."""
         if inside:
             ins = ins | {c}
         else:
             outs = outs | {c}
         for I, O in (in_cores if inside else out_cores)[c]:
             if I <= ins and O <= outs:
-                return None
+                return 0
         mask = holding(ins, outs)
         if mask:
-            return hits[(mask & -mask).bit_length() - 1]
+            return mask & -mask
         cert, core = solve(node, (c, inside))
         if cert is None:
-            I, O = core
-            images = ((frozenset(map(g.__getitem__, I)), frozenset(map(g.__getitem__, O))) for g in moves)
-            for core in dict.fromkeys([core, *images]):
-                for t in core[0]:
-                    in_cores[t].append(core)
-                for t in core[1]:
-                    out_cores[t].append(core)
-            return None
-        return _positive(cert, universe), cert
+            images = (tuple(frozenset(map(move.__getitem__, side)) for side in core) for _, move in table)
+            for I, O in dict.fromkeys(images):
+                for t in I:
+                    in_cores[t].append((I, O))
+                for t in O:
+                    out_cores[t].append((I, O))
+            return 0
+        return learn(_positive(cert, universe), cert)
 
     def record(ins, cert):
-        for image, moved in _symmetric_images(n, ins, cert):
-            if image in found:
-                continue
+        nonlocal recorded
+        for image, moved in _images(table, ins, cert).items():
             if _positive(moved, universe) != image:
                 raise InternalError(f"moved certificate does not certify the image {sorted(image)}")
-            bit = 1 << len(hits)
-            for t in image:
-                holders[t] |= bit
-            hits.append((image, moved))
-            found.add(image)
+            recorded |= learn(image, moved)
 
-    def dfs(ins, outs, undecided, certs, node):
-        # certs: (positive support, certificate) pairs satisfying (ins, outs);
+    def dfs(ins, outs, undecided, node):
+        # mask: the known P that satisfy (ins, outs), the node's certificates;
         # each forced decision lands on the side all of them already take.
         # node: see solve; its rows are some of (ins, outs)
+        mask = holding(ins, outs)
         undecided = list(undecided)
         changed = True
         while changed:
             changed = False
             for c in list(undecided):
-                held_in = held_out = False
-                for P, _ in certs:
-                    if c in P:
-                        held_in = True
-                    else:
-                        held_out = True
+                held_in = bool(mask & holders[c])
+                held_out = bool(mask & ~holders[c])
                 if held_in and held_out:
                     continue
-                hit = extend(ins, outs, c, held_out, node)
-                if hit is not None:
-                    certs.append(hit)
+                bit = extend(ins, outs, c, held_out, node)
+                if bit:
+                    mask |= bit
                     continue
                 if held_in:
                     ins = ins | {c}
@@ -385,29 +372,30 @@ def _enumerate(n, universe):
                 node[2].append((c, held_in))
                 undecided.remove(c)
                 changed = True
-        if holding(ins.union(undecided)):
+        if holding(ins.union(undecided)) & recorded:
             return
-        if _not_leader([True if t in ins else False if t in outs else None for t in universe], maps):
+        if _not_leader({t: True if t in ins else False if t in outs else None for t in universe}, table):
             return
         if not undecided:
             empty = frozenset()
             # the rows of ins alone, as the node's dictionary holds outs too
             only_ins = [root, [], [(t, True) for t in sorted(ins)]]
             for t in universe:
-                if t not in ins and extend(ins, empty, t, True, only_ins) is not None:
+                if t not in ins and extend(ins, empty, t, True, only_ins):
                     return  # feasible but not maximal
-            record(ins, certs[0][1])
+            record(ins, known[(mask & -mask).bit_length() - 1][1])  # that P is ins
             return
         c = undecided[0]
         rest = undecided[1:]
         lp, rows, todo = node
-        dfs(ins | {c}, outs, rest, [h for h in certs if c in h[0]], [lp, rows, todo + [(c, True)]])
-        dfs(ins, outs | {c}, rest, [h for h in certs if c not in h[0]], [lp, rows, todo + [(c, False)]])
+        dfs(ins | {c}, outs, rest, [lp, rows, todo + [(c, True)]])
+        dfs(ins, outs | {c}, rest, [lp, rows, todo + [(c, False)]])
 
     root = Dictionary(2 * (n - 1))
     zero, _ = _outcome(n, [], root.solve())
-    dfs(frozenset(), frozenset(), tuple(universe), [(_positive(zero, universe), zero)], [root, [], []])
-    return [P for P, _ in hits]
+    learn(_positive(zero, universe), zero)
+    dfs(frozenset(), frozenset(), tuple(universe), [root, [], []])
+    return [P for i, (P, _) in enumerate(known) if recorded >> i & 1]
 
 
 def enumerate_maximal_components(n, best_effort=False) -> ComponentEnumeration:

@@ -15,6 +15,7 @@ which is the normalization used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DimensionMismatchError, InvalidValueError
 from .tensors import Support, Tensor3, Triple, _check_triple, json_int
@@ -80,16 +81,16 @@ def binary_cocharacter(n) -> TorusWeight:
     return TorusWeight(n, lam, mu, mu)
 
 
+def _positive(tw: TorusWeight, triples):
+    """The triples of weight >= 1 under tw, as a frozenset: ``weight_of``
+    without its range check, for triples valid by construction."""
+    lam, mu, nu = tw.lam, tw.mu, tw.nu
+    return frozenset(t for t in triples if lam[t[0] - 1] + mu[t[1] - 1] + nu[t[2] - 1] >= 1)
+
+
 def positive_support(tw: TorusWeight) -> Support:
     """All triples of strictly positive weight; never meets the diagonal."""
-    n = tw.n
-    triples = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if tw.lam[i - 1] + tw.mu[j - 1] + tw.nu[k - 1] >= 1:
-                    triples.append((i, j, k))
-    return Support.of(n, triples)
+    return Support.of(tw.n, _positive(tw, product(range(1, tw.n + 1), repeat=3)))
 
 
 @dataclass(frozen=True)

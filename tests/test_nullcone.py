@@ -233,7 +233,17 @@ def test_enumeration_n3_components_all_feasible(components_n3):
     assert all(nullcone_feasible(s).feasible for s in components_n3.components)
 
 
+def test_every_component_is_maximal_by_the_maximality_check(components_n3):
+    # is_maximal_nullcone_support decides each extension with LPs of its
+    # own, apart from the leaf check inside the enumeration
+    for enum in (enumerate_maximal_components(2), components_n3):
+        for S in enum.components:
+            assert is_maximal_nullcone_support(S) == (True, [])
+
+
 CUBE3 = [t for t in product((1, 2, 3), repeat=3) if not t[0] == t[1] == t[2]]
+# the search's group table at n = 3: each g with its map on CUBE3, the identity first
+TABLE3 = [(g, {t: g(t) for t in CUBE3}) for g in Symmetry.all(3)]
 
 
 def test_search_reaches_only_lex_leaders(monkeypatch):
@@ -241,13 +251,13 @@ def test_search_reaches_only_lex_leaders(monkeypatch):
     # over CUBE3 order ("in" above "out") is largest, and records the rest
     # of its orbit from there
     reached = []
-    real = nullcone._symmetric_images
+    real = nullcone._images
 
-    def spy(n, triples, cert):
+    def spy(table, triples, cert):
         reached.append(frozenset(triples))
-        return real(n, triples, cert)
+        return real(table, triples, cert)
 
-    monkeypatch.setattr(nullcone, "_symmetric_images", spy)
+    monkeypatch.setattr(nullcone, "_images", spy)
     enumerate_maximal_components(3)
     assert len(reached) == 4
     for S in reached:
@@ -260,15 +270,14 @@ def test_search_reaches_only_lex_leaders(monkeypatch):
 def test_a_cut_node_has_no_leader_completion(decided, undecided):
     # brute force over the completions: the search may cut a node only when
     # none of them is the largest vector of its orbit
-    maps = nullcone._position_maps(3, CUBE3)
-    state = [None if a in undecided else v for a, v in enumerate(decided)]
-    if not nullcone._not_leader(state, maps):
+    state = {t: None if a in undecided else v for a, (t, v) in enumerate(zip(CUBE3, decided))}
+    if not nullcone._not_leader(state, TABLE3):
         return
     for values in product((True, False), repeat=len(undecided)):
-        X = list(state)
+        X = dict(state)
         for a, v in zip(sorted(undecided), values):
-            X[a] = v
-        assert any([X[s] for s in m] > X for m in maps)
+            X[CUBE3[a]] = v
+        assert any([X[move[t]] for t in CUBE3] > list(X.values()) for _, move in TABLE3[1:])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -300,8 +309,7 @@ def test_feasibility_and_certificates_move_with_the_symmetry_group(triples, imag
     assert nullcone_feasible(moved).feasible == out.feasible
     if out.feasible:
         # the enumeration's orbit closure carries certificates the same way
-        image = {tuple(sorted(img)): cert for img, cert in nullcone._symmetric_images(3, S.triples, out.certificate)}
-        cert = image[tuple(moved.sorted_triples())]
+        cert = nullcone._images(TABLE3, S.triples, out.certificate)[moved.triples]
         assert all(weight_of(cert, t) >= 1 for t in moved)
 
 
