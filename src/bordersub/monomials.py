@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InvalidValueError
-from .tensors import Support, Triple, _check_triple, json_int
+from .tensors import Support, Triple, _check_triple, check_n, json_int
 
 
 def duality_degree_cap(n):
@@ -27,7 +27,7 @@ def duality_degree_cap(n):
     Every minimal balanced multiset encountered at the formats the tests
     exercise (n <= 3) fits in 3n factors; this is a test-harness constant,
     not a structural bound on the invariant ring."""
-    return 3 * n
+    return 3 * check_n(n)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class Monomial:
     factors: tuple[Triple, ...]
 
     def __post_init__(self):
-        json_int(self.n)
+        check_n(self.n)
         factors = tuple(sorted(_check_triple(self.n, tuple(t)) for t in self.factors))
         if not factors:
             raise InvalidValueError("monomials must have positive degree")
@@ -88,9 +88,7 @@ def generator_family(n) -> list[Monomial]:
 
     in total n + 3 C(n,2) + 2 C(n,3) monomials, all torus invariant.
     """
-    if n < 1:
-        raise InvalidValueError("n must be positive")
-    out = [Monomial(n, ((i, i, i),)) for i in range(1, n + 1)]
+    out = [Monomial(n, ((i, i, i),)) for i in range(1, check_n(n) + 1)]
     for i, j in combinations(range(1, n + 1), 2):
         out.append(Monomial(n, ((i, i, j), (j, j, i))))
         out.append(Monomial(n, ((i, j, i), (j, i, j))))

@@ -80,9 +80,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .errors import CapExceededError, InternalError, InvalidValueError, PreconditionError
+from .errors import CapExceededError, InternalError, PreconditionError
 from .simplex import Dictionary, phase_one
-from .tensors import Support, Symmetry
+from .tensors import Support, Symmetry, check_n
 from .weights import TorusWeight, _positive
 
 #: component enumeration is complete up to this format; beyond it the tool
@@ -283,7 +283,7 @@ def _enumerate(n, universe):
     recorded = 0  # bitmask of the known P that are components
     in_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in I
     out_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in O
-    table = [(g, {t: g(t) for t in universe}) for g in Symmetry.all(n)]  # the identity first
+    table = [(g, {t: g._image(t) for t in universe}) for g in Symmetry.all(n)]  # the identity first
 
     def learn(P, cert):
         """Add (P, cert) to the index and return its bit."""
@@ -315,10 +315,11 @@ def _enumerate(n, universe):
         return _outcome(n, rows, lp.solve())
 
     def extend(ins, outs, c, inside, node):
-        """The bit of a known P that satisfies the system with c added to
-        ins (inside) or to outs, learned from an LP when none does, or 0
-        when the system is infeasible.  Assumes (ins, outs) is feasible, so
-        a core that applies must contain c."""
+        """The bit of the P an LP learns with c added to ins (inside) or to
+        outs, or 0 if infeasible.  (ins, outs) is feasible, so a core that
+        applies contains c.  No known P is looked up: a node's mask is all
+        known P satisfying (ins, outs), and c is asked about only when none
+        takes the asked side; at a leaf the LP answers either way."""
         if inside:
             ins = ins | {c}
         else:
@@ -326,9 +327,6 @@ def _enumerate(n, universe):
         for I, O in (in_cores if inside else out_cores)[c]:
             if I <= ins and O <= outs:
                 return 0
-        mask = holding(ins, outs)
-        if mask:
-            return mask & -mask
         cert, core = solve(node, (c, inside))
         if cert is None:
             images = (tuple(frozenset(map(move.__getitem__, side)) for side in core) for _, move in table)
@@ -406,15 +404,13 @@ def enumerate_maximal_components(n, best_effort=False) -> ComponentEnumeration:
     is flagged complete=False.  Diagonal triples never occur (their weight
     is identically zero) so the search ranges over the off-diagonal cube.
     """
-    if n < 1:
-        raise InvalidValueError("n must be positive")
-    complete = n <= ENUMERATION_CAP
+    complete = check_n(n) <= ENUMERATION_CAP
     if not complete and not best_effort:
         raise CapExceededError(
             f"complete enumeration is configured up to n={ENUMERATION_CAP}; "
             "pass best_effort to search anyway"
         )
     universe = [t for t in product(range(1, n + 1), repeat=3) if not (t[0] == t[1] == t[2])]
-    comps = [Support.of(n, ts) for ts in _enumerate(n, universe)]
+    comps = [Support._made(n, ts) for ts in _enumerate(n, universe)]
     comps.sort(key=lambda s: (-len(s), s.sorted_triples()))
     return ComponentEnumeration(n, complete, tuple(comps))

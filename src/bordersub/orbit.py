@@ -46,7 +46,7 @@ from operator import mul
 
 from .errors import DimensionMismatchError, InvalidValueError
 from .linalg import rank_int
-from .tensors import NONZERO_SMALL, Tensor3, integer_entries, rational
+from .tensors import NONZERO_SMALL, Tensor3, check_n, integer_entries, rational
 
 #: seeded random slice combinations tried after the basis slices
 SLICE_COMBO_ATTEMPTS = 5
@@ -60,7 +60,7 @@ class SliceFamily:
     slices: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def __post_init__(self):
-        if len(self.slices) != self.n or any(
+        if len(self.slices) != check_n(self.n) or any(
             len(s) != self.n or any(len(row) != self.n for row in s) for s in self.slices
         ):
             raise InvalidValueError("need n slices of size n x n")

@@ -70,10 +70,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int, rank_int
-from .tensors import Tensor3, integer_entries, json_int, rational, staircase_triples, unit_tensor
+from .tensors import Tensor3, check_n, integer_entries, rational, staircase_triples, unit_tensor
 from .weights import binary_cocharacter
 
 #: dimension of the scalar pairs acting trivially on every tensor
@@ -90,7 +91,7 @@ class LieTriple:
     z: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        json_int(self.n)
+        check_n(self.n)
         # one Fraction per distinct entry: kernel vectors repeat few values.
         # Only an int reads the cache, as True and 1.0 hash like 1.
         shared = {}
@@ -110,13 +111,12 @@ class LieTriple:
 
     @classmethod
     def zero(cls, n):
-        z = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        return cls(n, z, z, z)
+        return cls.from_flat(n, [0] * (3 * check_n(n) * n))
 
     @classmethod
     def from_flat(cls, n, vec):
         """Inverse of flat(): vec lists x, y, z row-major."""
-        if len(vec) != 3 * n * n:
+        if len(vec) != 3 * check_n(n) * n:
             raise InvalidValueError("flat vector must have length 3n^2")
         rows = [vec[i : i + n] for i in range(0, 3 * n * n, n)]
         return cls(n, rows[:n], rows[n : 2 * n], rows[2 * n :])
@@ -362,7 +362,7 @@ def cone_stabilizer_dim(n) -> int:
     """Faithful-quotient dimension (3n^2 + n - 2)/2 of the algebra
     preserving the cone over the unit tensor and W; the gl^3-level kernel
     is two bigger."""
-    return 3 * n * n - _rank_forms(_cone_forms(n)) - ACTION_KERNEL_DIM
+    return 3 * check_n(n) * n - _rank_forms(_cone_forms(n)) - ACTION_KERNEL_DIM
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,7 @@ class StructureReport:
     n: int
     dim_full: int
     dim_quotient: int
-    basis: tuple[LieTriple, ...]
+    kernel: tuple[tuple[int, ...], ...]  # the basis as integer vectors, in LieTriple.flat order
     triangular_ok: bool
     trace_ok: bool
     violations: tuple[str, ...]
@@ -379,12 +379,17 @@ class StructureReport:
     def passes(self):
         return self.triangular_ok and self.trace_ok
 
+    @cached_property
+    def basis(self) -> tuple[LieTriple, ...]:
+        """The kernel vectors as LieTriples, built when first read."""
+        return tuple(LieTriple.from_flat(self.n, v) for v in self.kernel)
+
     def to_json(self):
         return {
             "n": self.n,
             "dim_full": self.dim_full,
             "dim_quotient": self.dim_quotient,
-            "basis_size": len(self.basis),
+            "basis_size": len(self.kernel),
             "triangular_ok": self.triangular_ok,
             "trace_ok": self.trace_ok,
             "violations": list(self.violations),
@@ -396,9 +401,8 @@ def cone_stabilizer_structure(n) -> StructureReport:
     x lower-triangular, y and z upper-triangular, and the diagonal sums
     x_ss + y_ss + z_ss constant across s for every basis element, read off
     the integer kernel vectors (x, y, z row-major, as in LieTriple.flat)."""
-    nn = n * n
+    nn = check_n(n) * n
     vecs = _kernel_forms(_cone_forms(n), 3 * nn)
-    basis = tuple(LieTriple.from_flat(n, v) for v in vecs)
     violations = []
     triangular_ok = trace_ok = True
     for b_idx, v in enumerate(vecs):
@@ -415,9 +419,9 @@ def cone_stabilizer_structure(n) -> StructureReport:
             trace_ok = False
     return StructureReport(
         n=n,
-        dim_full=len(basis),
-        dim_quotient=len(basis) - ACTION_KERNEL_DIM,
-        basis=basis,
+        dim_full=len(vecs),
+        dim_quotient=len(vecs) - ACTION_KERNEL_DIM,
+        kernel=tuple(map(tuple, vecs)),
         triangular_ok=triangular_ok,
         trace_ok=trace_ok,
         violations=tuple(violations),
@@ -465,9 +469,7 @@ def qmax_dimension_bound(n) -> int:
     """Closed form (2n^3 + 3n^2 - 2n - 3)/3: the lower bound on the
     projective dimension of the closure of the maximal border subrank
     locus.  The numerator is divisible by 3 for every n >= 1."""
-    if n < 1:
-        raise InvalidValueError("n must be positive")
-    num = 2 * n**3 + 3 * n**2 - 2 * n - 3
+    num = 2 * check_n(n) ** 3 + 3 * n**2 - 2 * n - 3
     if num % 3:
         raise InternalError(f"bound numerator {num} not divisible by 3")
     return num // 3

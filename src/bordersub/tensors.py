@@ -9,7 +9,11 @@ Conventions used everywhere in the package:
   ``integer_entries`` clears a tensor's denominators for the integer
   kernels below the API;
 * tensors are sparse with absent-means-zero, so the support is exactly the
-  set of stored triples.
+  set of stored triples;
+* inputs are checked once, at the public boundary: by each public
+  constructor, and by ``check_n`` first in each public function taking n.
+  ``Support._made`` checks nothing, as the package gives it only triples
+  made over [1, n]^3 or taken from checked values, n checked first.
 
 The three staircase supports come from the "some other index is smaller
 than the distinguished one" conditions:
@@ -58,6 +62,13 @@ def json_int(value):
     raise InvalidValueError(f"{value!r} is not a JSON integer")
 
 
+def check_n(n):
+    """n as a JSON integer >= 1, else InvalidValueError (True and 2.0 are not formats)."""
+    if json_int(n) < 1:
+        raise InvalidValueError("n must be positive")
+    return n
+
+
 def rational(value):
     """value as an exact Fraction.  A float or a bool raises
     InvalidValueError: Fraction(0.1) keeps its binary expansion
@@ -75,13 +86,20 @@ class Support:
     triples: frozenset[Triple]
 
     def __post_init__(self):
-        if json_int(self.n) < 1:
-            raise InvalidValueError("format n must be positive")
+        check_n(self.n)
         object.__setattr__(self, "triples", frozenset(_check_triple(self.n, t) for t in self.triples))
 
     @classmethod
     def of(cls, n, triples):
         return cls(n, frozenset(tuple(t) for t in triples))
+
+    @classmethod
+    def _made(cls, n, triples):
+        """Unchecked: for triples the package made (see the module docstring)."""
+        sup = object.__new__(cls)
+        object.__setattr__(sup, "n", n)
+        object.__setattr__(sup, "triples", frozenset(triples))
+        return sup
 
     def sorted_triples(self):
         return sorted(self.triples)
@@ -140,8 +158,7 @@ class Tensor3:
     entries: dict[Triple, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if json_int(self.n) < 1:
-            raise InvalidValueError("format n must be positive")
+        check_n(self.n)
         clean = {}
         for t, c in self.entries.items():
             t = _check_triple(self.n, t)
@@ -155,7 +172,7 @@ class Tensor3:
         return self.entries.get(tuple(t), Fraction(0))
 
     def support(self) -> Support:
-        return Support.of(self.n, self.entries)
+        return Support._made(self.n, self.entries)
 
     def is_zero(self):
         return not self.entries
@@ -223,6 +240,7 @@ class Symmetry:
     slots: tuple[int, int, int] = (0, 1, 2)
 
     def __post_init__(self):
+        check_n(self.n)
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "slots", tuple(self.slots))
         if sorted(self.sigma) != list(range(1, self.n + 1)):
@@ -233,11 +251,16 @@ class Symmetry:
     @classmethod
     def all(cls, n):
         """The 6 n! elements, the identity first, sigma varying slowest."""
+        check_n(n)
         return [cls(n, sigma, slots) for sigma in permutations(range(1, n + 1)) for slots in permutations(range(3))]
 
     def __call__(self, t):
         """The image of the triple t: sigma(t[p]) in position slots[p]."""
-        i, j, k = _check_triple(self.n, t)
+        return self._image(_check_triple(self.n, t))
+
+    def _image(self, t):
+        """__call__ unchecked, for triples the package made."""
+        i, j, k = t
         sigma, (a, b, c) = self.sigma, self.slots
         u = [0, 0, 0]
         u[a], u[b], u[c] = sigma[i - 1], sigma[j - 1], sigma[k - 1]
@@ -246,7 +269,7 @@ class Symmetry:
     def on_support(self, sup: Support) -> Support:
         if self.n != sup.n:
             raise DimensionMismatchError(f"symmetry n={self.n} vs support n={sup.n}")
-        return Support.of(sup.n, map(self, sup.triples))
+        return Support._made(sup.n, map(self._image, sup.triples))
 
     def on_vectors(self, vectors):
         """Three per-slot vectors indexed by [n] (such as a cocharacter's
@@ -262,21 +285,18 @@ class Symmetry:
 
 def unit_tensor(n) -> Tensor3:
     """The diagonal tensor sum_i a_i (x) b_i (x) c_i."""
-    if n < 1:
-        raise InvalidValueError("n must be positive")
-    return Tensor3(n, {(i, i, i): Fraction(1) for i in range(1, n + 1)})
+    return Tensor3(n, {(i, i, i): Fraction(1) for i in range(1, check_n(n) + 1)})
 
 
 def diagonal_support(n) -> Support:
-    return Support.of(n, [(i, i, i) for i in range(1, n + 1)])
+    return Support._made(n, [(i, i, i) for i in range(1, check_n(n) + 1)])
 
 
 def staircase_triples(n, variant="W"):
     """The triples of W, W' or W'' in lexicographic order, generated one at
     a time: those whose index in the variant's slot (i, j or k) exceeds one
     of the other two."""
-    if n < 1:
-        raise InvalidValueError("n must be positive")
+    check_n(n)
     if variant not in W_VARIANTS:
         raise InvalidValueError(f"variant must be one of {W_VARIANTS}")
     s = W_VARIANTS.index(variant)
@@ -289,7 +309,7 @@ def build_W(n, variant="W") -> Support:
     |W(n)| = n^3 - n(n+1)(2n+1)/6 = (4n^3 - 3n^2 - n)/6, and the same for
     the other two variants by symmetry.
     """
-    return Support.of(n, staircase_triples(n, variant))
+    return Support._made(n, staircase_triples(n, variant))
 
 
 def build_tight_U(n) -> Support:
@@ -297,14 +317,8 @@ def build_tight_U(n) -> Support:
 
     Together with the diagonal this is exactly {(i,j,k) : 2i = j + k}; on
     its own it is a subset of W (either j or k must drop below i)."""
-    if n < 1:
-        raise InvalidValueError("n must be positive")
-    triples = [
-        (i, j, k)
-        for i, j, k in product(range(1, n + 1), repeat=3)
-        if 2 * i == j + k and j != i
-    ]
-    return Support.of(n, triples)
+    cube = product(range(1, check_n(n) + 1), repeat=3)
+    return Support._made(n, [(i, j, k) for i, j, k in cube if 2 * i == j + k and j != i])
 
 
 def tensor_from_support(sup: Support, coeffs) -> Tensor3:
@@ -333,12 +347,13 @@ def sample_coefficients(sup: Support, seed) -> dict[Triple, Fraction]:
 def sample_support(n, seed, max_size) -> Support:
     """Seeded random support: uniform size in [1, max_size], triples drawn
     without replacement from the whole cube (diagonal included)."""
-    if n < 1 or max_size < 1:
-        raise InvalidValueError("n and max_size must be positive")
+    check_n(n)
+    if max_size < 1:
+        raise InvalidValueError("max_size must be positive")
     rng = random.Random(f"bordersub:support:{n}:{max_size}:{seed}")
     cube = [t for t in product(range(1, n + 1), repeat=3)]
     size = rng.randint(1, min(max_size, len(cube)))
-    return Support.of(n, rng.sample(cube, size))
+    return Support._made(n, rng.sample(cube, size))
 
 
 def dumps_json(obj) -> str:

@@ -29,7 +29,7 @@ from math import gcd
 
 from .errors import DimensionMismatchError, InternalError, InvalidValueError
 from .linalg import kernel_int
-from .tensors import Support, json_int
+from .tensors import Support, check_n, json_int
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class TightWitness:
     tau_c: tuple[int, ...]
 
     def __post_init__(self):
-        json_int(self.n)
+        check_n(self.n)
         for name in ("tau_a", "tau_b", "tau_c"):
             seq = tuple(map(json_int, getattr(self, name)))
             if len(seq) != self.n:

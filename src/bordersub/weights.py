@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatchError, InvalidValueError
-from .tensors import Support, Tensor3, Triple, _check_triple, json_int
+from .tensors import Support, Tensor3, Triple, _check_triple, check_n, json_int
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class TorusWeight:
     nu: tuple[int, ...]
 
     def __post_init__(self):
-        json_int(self.n)
+        check_n(self.n)
         object.__setattr__(self, "lam", tuple(map(json_int, self.lam)))
         object.__setattr__(self, "mu", tuple(map(json_int, self.mu)))
         object.__setattr__(self, "nu", tuple(map(json_int, self.nu)))
@@ -74,8 +74,7 @@ def binary_cocharacter(n) -> TorusWeight:
     Its weight on (i, j, k) collapses to 2^(n-j) + 2^(n-k) - 2^(n-i+1),
     which is >= 1 exactly when j or k drops below i -- i.e. on all of W(n).
     """
-    if n < 1:
-        raise InvalidValueError("n must be positive")
+    check_n(n)
     lam = tuple(2**n - 2 ** (n - k + 1) for k in range(1, n + 1))
     mu = tuple(2 ** (n - k) - 2 ** (n - 1) for k in range(1, n + 1))
     return TorusWeight(n, lam, mu, mu)
@@ -83,14 +82,14 @@ def binary_cocharacter(n) -> TorusWeight:
 
 def _positive(tw: TorusWeight, triples):
     """The triples of weight >= 1 under tw, as a frozenset: ``weight_of``
-    without its range check, for triples valid by construction."""
+    unchecked, for triples the package made (``tensors`` module docstring)."""
     lam, mu, nu = tw.lam, tw.mu, tw.nu
     return frozenset(t for t in triples if lam[t[0] - 1] + mu[t[1] - 1] + nu[t[2] - 1] >= 1)
 
 
 def positive_support(tw: TorusWeight) -> Support:
     """All triples of strictly positive weight; never meets the diagonal."""
-    return Support.of(tw.n, _positive(tw, product(range(1, tw.n + 1), repeat=3)))
+    return Support._made(tw.n, _positive(tw, product(range(1, tw.n + 1), repeat=3)))
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def check_degeneration_certificate(T: Tensor3, tw: TorusWeight) -> CertificateVe
         i, j, k = t
         if i == j == k:
             continue
-        w = weight_of(tw, t)
+        w = tw.lam[i - 1] + tw.mu[j - 1] + tw.nu[k - 1]  # T and tw are checked
         if w < 1:
             return CertificateVerdict(
                 valid=False,
