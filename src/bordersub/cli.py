@@ -63,10 +63,12 @@ FAMILY_ALIASES = {
 
 
 def _load_json(path):
+    # ValueError covers bad JSON and bytes that are not UTF-8; a deeply
+    # nested array raises RecursionError
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidValueError(f"cannot read {path}: {exc}") from exc
 
 

@@ -102,7 +102,7 @@ def generator_family(n) -> list[Monomial]:
 def invariant_monomials_within(S: Support, max_degree) -> list[Monomial]:
     """All invariant monomials of degree <= max_degree with factors in S,
     in graded-lexicographic order (degree first, then factor tuples)."""
-    if max_degree < 1:
+    if json_int(max_degree) < 1:
         raise InvalidValueError("max_degree must be >= 1")
     triples = S.sorted_triples()
     out = []
@@ -181,6 +181,6 @@ def balanced_exists(n, triples, max_degree):
 def has_invariant_monomial_within(S: Support, max_degree) -> bool:
     """Existence version of invariant_monomials_within; same predicate as
     "the listing is nonempty" but short-circuits, via balanced_exists."""
-    if max_degree < 1:
+    if json_int(max_degree) < 1:
         raise InvalidValueError("max_degree must be >= 1")
     return balanced_exists(S.n, S.sorted_triples(), max_degree)

@@ -40,26 +40,30 @@ distinct unit terms, so these |U| rows, in root-weight order, are
 triangular with unit pivots whatever the coefficients on W.
 
 ``_unit_forced`` checks H1 and H2 by bitmasks and returns U: the 3n(n-1)/2
-entries of x above the diagonal and of y and z below it.  Hence:
+entries of x above the diagonal and of y and z below it.  Both counts are
+read off |U|, with no elimination:
 
 * the cone stabilizer is the kernel of "act(g) lies in <unit, W> for every
   generator g in {unit} + {e_w}", and <unit, W> is the set of v with v_c = 0
   at every c outside W + diag and v_(1,1,1) = ... = v_(n,n,n).  The unit
   gives the forms {u: 1}, u in U, and the n - 1 trace rows; by H2 the forms
-  of each e_w lie on U, in the span of the {u: 1}.  The gl^3-level kernel
-  has dimension 3n^2 - 3n(n-1)/2 - (n-1), the quotient (3n^2 + n - 2)/2;
+  of each e_w lie on U, in the span of the {u: 1}.  Each trace row holds
+  its own x_ii, i >= 2, so the rank is |U| + n - 1, and the gl^3-level
+  kernel has dimension 3n^2 - 3n(n-1)/2 - (n-1), the quotient
+  (3n^2 + n - 2)/2;
 * the tangent space at unit + w of the orbit of the cone is
   act(gl^3, unit + w) + <unit, W>, whose |W| unit vectors remove the
-  coordinates of W.  Its projective dimension is |W| + 3n(n-1)/2 + n - 1 =
-  (2n^3 + 3n^2 - 2n - 3)/3 = dim G - dim G_cone + dim cone at every point.
+  coordinates of W.  By the lemma its projective dimension is
+  |W| + |U| + n - 1 = |W| + 3n(n-1)/2 + n - 1 = (2n^3 + 3n^2 - 2n - 3)/3 =
+  dim G - dim G_cone + dim cone at every point.
 
-The ranks and kernels of a general tensor, and the tests' oracle for the
-lemma, go through one structured elimination (LaMacchia & Odlyzko 1990).
-``_split`` peels one-term forms to a fixed point: each forces its unknown
-to 0 and is deleted from the other forms, which may leave new one-term
-forms.  Ranks (``_rank_forms``) then peel the rows that alone hold a
-column, and only the residue reaches ``rank_int``; kernels
-(``_kernel_forms``) send what ``_split`` leaves to ``kernel_int``.
+The ranks and kernels of a general tensor, the cone stabilizer's basis and
+the tests' oracle for the lemma go through one structured elimination
+(LaMacchia & Odlyzko 1990).  ``_split`` peels one-term forms to a fixed
+point: each forces its unknown to 0 and is deleted from the other forms,
+which may leave new one-term forms.  Only the residue reaches integer
+linear algebra: ``rank_int`` for ranks (``_rank_forms``), ``kernel_int``
+for kernels (``_kernel_forms``).
 
 Dimensions come in two conventions: the raw gl^3 level and the faithful
 quotient (subtract 2 for the scalar pairs (a, b, -a-b) acting trivially).
@@ -222,35 +226,9 @@ def _split(forms):
 
 def _rank_forms(forms):
     """Rank over Q of sparse integer rows {column: coefficient}: len(zero)
-    from ``_split``, plus one for each row of ``rows`` that alone holds a
-    column (no other row can cancel that entry), peeled to a fixed point,
-    plus ``rank_int`` of the residue, called once even when it is empty.
-
-    The two peels are independent.  A unit-row peel deletes its column and
-    drops only rows that held nothing else, so no other column loses a
-    holder; a lone-column peel drops a whole row and leaves no one-term
-    row.  One after the other reaches the fixed point of both."""
+    from ``_split`` plus ``rank_int`` of ``rows`` over their columns."""
     zero, rows = _split(forms)
-    holders = {}
-    for r, row in enumerate(rows):
-        for c, _ in row:
-            holders.setdefault(c, set()).add(r)
-    lone_cols = [c for c, held in holders.items() if len(held) == 1]
-    rank = len(zero)
-    while lone_cols:
-        held = holders.get(lone_cols.pop())
-        if held:
-            (r,) = held
-            rank += 1
-            for c, _ in rows[r]:
-                held = holders[c]
-                held.remove(r)
-                if len(held) == 1:
-                    lone_cols.append(c)
-                elif not held:
-                    del holders[c]
-            rows[r] = ()
-    return rank + rank_int(_compact([row for row in rows if row])[1])
+    return len(zero) + rank_int(_compact(rows)[1])
 
 
 def _kernel_forms(forms, width):
@@ -344,25 +322,22 @@ def _unit_forced(n):
     return size, [s * nn + p * n + q for s in range(3) for p in range(n) for q in range(n) if forced[s][q] >> p & 1]
 
 
-def _diagonal_unknowns(n, i):
-    """The unknowns x_ii, y_ii, z_ii, for i = 0..n-1."""
-    return [s * n * n + i * (n + 1) for s in range(3)]
-
-
 def _cone_forms(n):
     """The condition "act(lt, g) lies in <unit, W> for every generator g"
     as sparse integer forms over the 3n^2 unknowns: {u: 1} for u in U and
     the n - 1 trace rows (x_ii + y_ii + z_ii) - (x_11 + y_11 + z_11)."""
-    origin = dict.fromkeys(_diagonal_unknowns(n, 0), -1)
-    trace = [{**origin, **dict.fromkeys(_diagonal_unknowns(n, i), 1)} for i in range(1, n)]
+    diagonal = lambda i: [s * n * n + i * (n + 1) for s in range(3)]
+    origin = dict.fromkeys(diagonal(0), -1)
+    trace = [{**origin, **dict.fromkeys(diagonal(i), 1)} for i in range(1, n)]
     return [{u: 1} for u in _unit_forced(n)[1]] + trace
 
 
 def cone_stabilizer_dim(n) -> int:
     """Faithful-quotient dimension (3n^2 + n - 2)/2 of the algebra
     preserving the cone over the unit tensor and W; the gl^3-level kernel
-    is two bigger."""
-    return 3 * check_n(n) * n - _rank_forms(_cone_forms(n)) - ACTION_KERNEL_DIM
+    is two bigger.  By the module's lemma ``_cone_forms`` has rank
+    |U| + n - 1, read off ``_unit_forced`` with no elimination."""
+    return 3 * check_n(n) * n - len(_unit_forced(n)[1]) - (n - 1) - ACTION_KERNEL_DIM
 
 
 @dataclass(frozen=True)
@@ -454,14 +429,13 @@ def orbit_cone_tangent_dim(n, seed) -> TangentReport:
     act(gl^3, unit + w) + <unit, W> minus one.
 
     The rank is |W| plus the rank of the coordinate forms outside W, with
-    one extra unknown, column 3n^2, for the unit tensor at the diagonal; by
-    the module's lemma, at every point unit + w, that is the rank of the
-    forms {u: 1}, u in U, and the n rows x_ii + y_ii + z_ii + column 3n^2.
-    So ``seed`` only names the point, and ``attempts`` is (seed, value)."""
+    one extra unknown for the unit tensor at the diagonal; by the module's
+    lemma that rank is |U| + n at every point unit + w, so the value is
+    |W| + |U| + n - 1, read off ``_unit_forced`` (which checks H1 and H2)
+    with no elimination.  ``seed`` only names the point, and ``attempts``
+    is (seed, value)."""
     size, forced = _unit_forced(n)
-    forms = [{u: 1} for u in forced]
-    forms += [dict.fromkeys(_diagonal_unknowns(n, i) + [3 * n * n], 1) for i in range(n)]
-    value = size + _rank_forms(forms) - 1
+    value = size + len(forced) + n - 1
     return TangentReport(n=n, value=value, expected=qmax_dimension_bound(n), attempts=((seed, value),))
 
 

@@ -348,7 +348,7 @@ def sample_support(n, seed, max_size) -> Support:
     """Seeded random support: uniform size in [1, max_size], triples drawn
     without replacement from the whole cube (diagonal included)."""
     check_n(n)
-    if max_size < 1:
+    if json_int(max_size) < 1:
         raise InvalidValueError("max_size must be positive")
     rng = random.Random(f"bordersub:support:{n}:{max_size}:{seed}")
     cube = [t for t in product(range(1, n + 1), repeat=3)]

@@ -292,6 +292,8 @@ def exhaustive_tight_search(S: Support, bound=None) -> bool:
     n = S.n
     if bound is None:
         bound = oracle_window(n)
+    elif json_int(bound) < 0:
+        raise InvalidValueError("bound must be >= 0")
     assignment = tight_search(n, S.sorted_triples(), bound)
     if assignment is None:
         return False

@@ -49,6 +49,29 @@ def test_every_public_entry_rejects_a_bad_n(name):
             TAKES_N[name](n)
 
 
+# the public counts other than n, each with its least valid value and the
+# message a too-small integer gets
+TAKES_A_COUNT = {
+    "sample_support": (lambda v: bs.sample_support(3, 0, v), 1, "max_size must be positive"),
+    "invariant_monomials_within": (lambda v: bs.invariant_monomials_within(bs.build_W(2), v), 1, "max_degree must be >= 1"),
+    "has_invariant_monomial_within": (lambda v: bs.has_invariant_monomial_within(bs.build_W(2), v), 1, "max_degree must be >= 1"),
+    "exhaustive_tight_search": (lambda v: bs.exhaustive_tight_search(bs.build_tight_U(3), v), 0, "bound must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_COUNT))
+def test_every_public_count_is_a_json_integer(name):
+    call, least, message = TAKES_A_COUNT[name]
+    with pytest.raises(bs.InvalidValueError, match=message):
+        call(least - 1)  # 0 for a size or degree, -1 for a bound
+    # True would read as 1 and 2.0 as 2
+    for v in (True, 2.0):
+        with pytest.raises(bs.InvalidValueError, match="not a JSON integer"):
+            call(v)
+    call(least)
+    call(2)
+
+
 def test_made_supports_equal_checked_ones():
     made = list(bs.enumerate_maximal_components(3).components)
     made += [bs.build_W(4, v) for v in W_VARIANTS]

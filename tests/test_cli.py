@@ -310,6 +310,20 @@ def test_json_loaders_reject_non_integers(tmp_path, capsys, argv, flag, payload)
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("content", [b"\xb5\xff{\x80\xfe", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("nullcone", "check"), "--support"), (("stab", "dim"), "--tensor"), (("invariants", "check"), "--monomial")],
+)
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, flag, content):
+    # exit 1 is a negative verdict; a file that is not JSON must not read as one
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_invariants_check_rejects_factor_out_of_range(tmp_path, capsys):
     path = write(tmp_path, "m.json", {"n": 2, "factors": [[1, 1, 1], [1, 1, 3]]})
     code, out, err = run(capsys, "invariants", "check", "--monomial", path)

@@ -409,6 +409,21 @@ def test_closed_forms_above_n8():
         assert orbit_cone_tangent_dim(n, 0).value == qmax_dimension_bound(n)
 
 
+def test_cone_and_tangent_counts_run_no_elimination(monkeypatch):
+    # both counts are read off the lemma's U; _unit_forced still checks H1
+    # and H2, and the general path stays the tests' oracle
+    import bordersub.stabilizer as st
+
+    def refuse(*args):
+        raise AssertionError("an elimination ran")
+
+    for name in ("rank_int", "_split", "_rank_forms"):
+        monkeypatch.setattr(st, name, refuse)
+    for n in range(1, 13):
+        assert cone_stabilizer_dim(n) == (3 * n * n + n - 2) // 2
+        assert orbit_cone_tangent_dim(n, 0).value == (2 * n**3 + 3 * n**2 - 2 * n - 3) // 3
+
+
 def test_reproduce_tangent_checks_n5():
     from bordersub.suite import check_tangent
 
