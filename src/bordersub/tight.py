@@ -16,9 +16,11 @@ to the smallest integer multiple.
 
 ``exhaustive_tight_search`` is the brute-force oracle used by the tests:
 its kernel ``tight_search`` runs fail-first backtracking over integer
-assignments in a fixed window.  It lives in this module but shares no
-machinery with the decision procedure above: no ``kernel_int``, no linear
-algebra at all.
+assignments in a fixed window with tau_A(1) = tau_B(1) = 0 pinned.  A
+"not tight" from it covers that pinned window only: the translation that
+pins a solution can push it out of the window.  It lives in this module
+but shares no machinery with the decision procedure above: no
+``kernel_int``, no linear algebra at all.
 """
 
 from __future__ import annotations
@@ -139,12 +141,16 @@ def _value_sequence(bound):
 
 def tight_search(n, triples, bound):
     """Search for injective tau_A, tau_B, tau_C: [n] -> [-bound, bound] with
-    tau_A(i)+tau_B(j)+tau_C(k) = 0 on every triple.
+    tau_A(i)+tau_B(j)+tau_C(k) = 0 on every triple and the pins
+    tau_A(1) = tau_B(1) = 0.  Returns the full assignment as a flat list
+    [tau_A | tau_B | tau_C] or None.
 
-    Exhaustive over the window up to the translation symmetry
-    (tau_A+a, tau_B+b, tau_C-a-b), which preserves both the sum conditions
-    and injectivity; the search pins tau_A(1) = tau_B(1) = 0.  Returns the
-    full assignment as a flat list [tau_A | tau_B | tau_C] or None.
+    Exhaustive over the pinned window, not over the whole window: the
+    translations (tau_A+a, tau_B+b, tau_C-a-b) preserve the sum conditions
+    and injectivity, so a solution anywhere in Z moves to a pinned one, but
+    the moved solution may leave [-bound, bound].  None therefore means "no
+    pinned solution in the window", and "not tight" only once the window
+    is wide enough to hold a pinned solution of every tight support.
 
     Backtracking with unit propagation: a triple with two assigned
     endpoints forces the third, so branching only happens on genuinely free
@@ -152,8 +158,15 @@ def tight_search(n, triples, bound):
     branches on the unassigned constrained variable that sits in the most
     triples with exactly two unknowns, the lowest index on ties, so a
     forced collision surfaces before unrelated variables are enumerated.
-    Values are tried in the order 0, 1, -1, 2, -2, ...  Used as the
-    brute-force oracle against the linear-algebra tightness decision;
+    Values are tried in the order 0, 1, -1, 2, -2, ..., drawn lazily from
+    one ``_value_sequence`` per branch node.
+
+    The state is kept incrementally: each group's set of taken values makes
+    the injectivity test one lookup, and each triple's sum of unassigned
+    variable indices names its last unknown directly.  The tree is walked by
+    one loop over an explicit stack of (variable, values, trail mark), so
+    the depth is bounded by memory, not by the recursion limit.  Used as
+    the brute-force oracle against the linear-algebra tightness decision;
     deliberately shares no code with it.
     """
     nv = 3 * n
@@ -166,32 +179,31 @@ def tight_search(n, triples, bound):
 
     val = [0] * nv
     done = [False] * nv
+    # the values each group A, B, C has taken so far
+    taken = [set(), set(), set()]
     # the three variables of a constraint sit in disjoint groups (A, B, C),
-    # so none of them can coincide
+    # so none of them can coincide, and once two are assigned the third is
+    # the sum of the unassigned indices
     unknown = [3] * m
     ksum = [0] * m
+    isum = [sum(vs) for vs in cons]
 
     trail = []
 
-    def group_ok(v, x):
-        base = (v // n) * n
-        for u in range(base, base + n):
-            if u != v and done[u] and val[u] == x:
-                return False
-        return True
-
     def assign(v, x, queue):
         """Returns False on immediate contradiction; always leaves counters
-        consistent so undo() can unwind unconditionally."""
-        if x < -bound or x > bound or not group_ok(v, x):
+        consistent so undo_to() can unwind unconditionally."""
+        if x < -bound or x > bound or x in taken[v // n]:
             return False
         val[v] = x
         done[v] = True
+        taken[v // n].add(x)
         trail.append(v)
         ok = True
         for ci in cons_of[v]:
             unknown[ci] -= 1
             ksum[ci] += x
+            isum[ci] -= v
             if unknown[ci] == 0:
                 if ksum[ci] != 0:
                     ok = False
@@ -202,10 +214,20 @@ def tight_search(n, triples, bound):
     def undo_to(mark):
         while len(trail) > mark:
             v = trail.pop()
+            x = val[v]
             done[v] = False
+            taken[v // n].discard(x)
             for ci in cons_of[v]:
                 unknown[ci] += 1
-                ksum[ci] -= val[v]
+                ksum[ci] -= x
+                isum[ci] += v
+
+    def propagate(queue):
+        """Unit propagation; False on a contradiction (the caller unwinds)."""
+        for ci in queue:  # assign() appends while this runs
+            if unknown[ci] == 1 and not assign(isum[ci], -ksum[ci], queue):
+                return False
+        return True
 
     branch_vars = [v for v in range(nv) if cons_of[v]]
 
@@ -228,54 +250,52 @@ def tight_search(n, triples, bound):
         for v in range(nv):
             if done[v]:
                 continue
+            group = taken[v // n]
             for x in _value_sequence(bound):
-                if group_ok(v, x):
+                if x not in group:
                     val[v] = x
                     done[v] = True
+                    group.add(x)
                     trail.append(v)
                     break
-            else:  # pragma: no cover - window always dwarfs n
+            else:  # the window holds fewer than n values
                 return False
         return True
 
-    def solve(queue):
-        mark = len(trail)
-        # unit propagation
-        qi = 0
-        while qi < len(queue):
-            ci = queue[qi]
-            qi += 1
-            if unknown[ci] != 1:
-                continue
-            v = next(u for u in cons[ci] if not done[u])
-            if not assign(v, -ksum[ci], queue):
-                undo_to(mark)
-                return False
-        v = pick_branch()
-        if v is not None:
-            for x in _value_sequence(bound):
-                sub = []
-                mark2 = len(trail)
-                if assign(v, x, sub):
-                    if solve(sub):
-                        return True
-                undo_to(mark2)
+    queue = []
+    if not assign(0, 0, queue) or not assign(n, 0, queue):
+        return None
+    # one entry per open branch node: its variable, its remaining values and
+    # the trail length before its variable was assigned
+    stack = []
+    while True:
+        # enter the node reached by the last assignment
+        if propagate(queue):
+            v = pick_branch()
+            if v is None:
+                if fill_free():
+                    return list(val)
+            else:
+                stack.append((v, _value_sequence(bound), len(trail)))
+        # move to the next value of the deepest open node, closing the
+        # exhausted ones; a failed node is unwound by its parent's mark
+        while stack:
+            v, values, mark = stack[-1]
             undo_to(mark)
-            return False
-        if fill_free():
-            return True
-        undo_to(mark)
-        return False
-
-    q0 = []
-    if not assign(0, 0, q0):
-        return None
-    if n >= 1 and not assign(n, 0, q0):
-        undo_to(0)
-        return None
-    if solve(q0):
-        return list(val)
-    return None
+            group = taken[v // n]
+            for x in values:
+                if x in group:  # what assign() would refuse untouched
+                    continue
+                queue = []
+                if assign(v, x, queue):
+                    break
+                undo_to(mark)
+            else:
+                stack.pop()
+                continue
+            break
+        else:
+            return None
 
 
 def oracle_window(n) -> int:
@@ -287,8 +307,11 @@ def oracle_window(n) -> int:
 def exhaustive_tight_search(S: Support, bound=None) -> bool:
     """Brute-force tightness oracle: backtracking over injective integer
     assignments with entries in [-bound, bound], pinned to
-    tau_A(1) = tau_B(1) = 0 (translations preserve tightness).  Test
-    equipment; quadratic-window default per oracle_window."""
+    tau_A(1) = tau_B(1) = 0 (translations preserve tightness).  False
+    means no pinned solution lies in the window; a support can have an
+    unpinned one there and still get False, so a small bound is not a
+    proof of "not tight".  Test equipment; quadratic-window default per
+    oracle_window."""
     n = S.n
     if bound is None:
         bound = oracle_window(n)

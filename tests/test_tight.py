@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from itertools import product
 
@@ -146,6 +147,65 @@ def test_oracle_work_pinned_at_window_81(monkeypatch):
     for s in range(200):
         exhaustive_tight_search(sample_support(3, ("tight", s), 10))
     assert drawn == 251_467
+
+
+def test_oracle_answers_pinned():
+    # sha256 of the assignments themselves, so a rewrite of the search that
+    # keeps the draw count but moves a witness fails here too
+    sets = {
+        "crit9": (3, [sample_support(3, ("tight", s), 10) for s in range(200)], (18, 81)),
+        "tight4": (4, [sample_support(4, ("tight4", s), 12) for s in range(40)], (144,)),
+    }
+    expected = {
+        "crit9": (53, "0da37e9e980d95c7052e9d64f73dcbea1b3f71ec84219c5cd04e6a63c57e59cc"),
+        "tight4": (12, "895b026c12ca9ee39f1559acb521a36fbf6027fb2e753635bde5c251cfdfc4ae"),
+    }
+    for name, (n, supports, windows) in sets.items():
+        for bound in windows:
+            found = [tight_module.tight_search(n, S.sorted_triples(), bound) for S in supports]
+            digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
+            assert (sum(a is not None for a in found), digest) == expected[name], (name, bound)
+
+
+def test_oracle_matches_brute_force_n1_n2():
+    # every pinned injective assignment in the window, enumerated over its
+    # 3n - 2 free entries: S has a pinned solution iff S lies inside the set
+    # of triples on which one of them sums to zero
+    for n in (1, 2):
+        cube = list(product(range(1, n + 1), repeat=3))
+        for bound in (0, 1, 2):
+            window = range(-bound, bound + 1)
+            zero_sets = set()
+            for free in product(window, repeat=3 * n - 2):
+                tau_a, tau_b, tau_c = (0, *free[: n - 1]), (0, *free[n - 1 : 2 * n - 2]), free[2 * n - 2 :]
+                if all(len(set(tau)) == n for tau in (tau_a, tau_b, tau_c)):
+                    zeros = (tau_a[i - 1] + tau_b[j - 1] + tau_c[k - 1] == 0 for (i, j, k) in cube)
+                    zero_sets.add(sum(1 << b for b, zero in enumerate(zeros) if zero))
+            for mask in range(1 << len(cube)):
+                triples = [t for b, t in enumerate(cube) if mask >> b & 1]
+                expected = any(mask & ~z == 0 for z in zero_sets)
+                assert (tight_module.tight_search(n, triples, bound) is not None) == expected, (n, bound, triples)
+
+
+def test_oracle_false_covers_the_pinned_window_only():
+    # an injective solution in [-1, 1] exists (tau_A = (-1, 0), tau_B = (0, 1),
+    # tau_C = (-1, 1)), but pinning tau_A(1) = tau_B(1) = 0 forces
+    # tau_C(1) = -(tau_A(2) + tau_B(2)) out to +/-2 or onto tau_C(2) = 0
+    S = Support.of(2, [(1, 1, 2), (2, 2, 1)])
+    assert check_tight_witness(S, TightWitness(2, (-1, 0), (0, 1), (-1, 1)))
+    assert exhaustive_tight_search(S, 1) is False
+    assert exhaustive_tight_search(S, 2) is True
+
+
+def test_oracle_window_narrower_than_n():
+    # bound 0 leaves one value for two entries of a group: fill_free fails
+    assert exhaustive_tight_search(Support.of(2, []), 0) is False
+    assert exhaustive_tight_search(Support.of(2, []), 1) is True
+
+
+def test_oracle_depth_is_not_bounded_by_recursion():
+    # one branch node per diagonal triple: 600 levels deep
+    assert exhaustive_tight_search(diagonal_support(600)) is True
 
 
 def test_oracle_agreement_n4_supports():
