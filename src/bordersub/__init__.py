@@ -6,8 +6,9 @@ counts, unit-orbit membership, and tight supports.
 All arithmetic is exact.  The API is rational (Tensor3, LieTriple and
 SliceFamily hold fractions.Fraction values); every kernel below it works
 on integers, and tensors.integer_entries is the one place a tensor's
-denominators are cleared.  Every verdict is a checkable certificate or a
-reproducible dimension count.
+denominators are cleared.  Every rank and kernel comes from one structured
+elimination on sparse integer rows, in bordersub.linalg.  Every verdict is
+a checkable certificate or a reproducible dimension count.
 """
 
 from .errors import (

@@ -1,9 +1,19 @@
-"""Exact linear algebra on integer rows: rank and kernel.
+"""Exact linear algebra on sparse integer rows: rank and kernel.
 
-Every caller hands in integer rows.  ``echelon_rows`` reduces them by
-fraction-free elimination, and ``kernel_int`` reads a canonical basis off
-the rational reduced echelon form of the result.  Nothing is rounded, and
-there is one implementation: plain Python on ints.
+Every caller hands in integer rows {column: coefficient}.  They go through
+one structured elimination (LaMacchia & Odlyzko 1990): the one-term rows
+are peeled to a fixed point, and only the residue is reduced.  A one-term
+row puts e_u in the row space, forcing u to 0, and subtracting multiples
+of it deletes u from every other row, which may leave new one-term rows;
+a column -> rows index finds them.  At the fixed point the row space is
+span{e_u : u peeled} beside the row space of the residue, on disjoint
+columns, so its reduced echelon form (RREF) is the rows e_u beside the
+RREF of the residue: the rank is the number of peeled columns plus the
+residue's rank, and the canonical kernel basis splits the same way.
+``echelon_rows`` reduces the residue by fraction-free elimination, and
+``kernel_int`` reads the canonical basis off the rational RREF of the
+echelon rows of two terms or more, over their columns only.  Nothing is
+rounded, and there is one implementation: plain Python on ints.
 """
 
 from __future__ import annotations
@@ -12,63 +22,78 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _normalize_row(row):
-    """Divide out the content and make the leading entry positive."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-    if g == 0:
-        return row
-    lead = 0
-    for x in row:
-        if x:
-            lead = x
-            break
-    if lead < 0:
+def _peel(rows):
+    """Peel the one-term rows to a fixed point: (peeled columns, residue).
+
+    Zero coefficients are dropped.  The residue rows have two terms or
+    more, none at a peeled column, and come sorted and deduplicated."""
+    residue, holders, zero = [], {}, set()
+    for form in rows:
+        row = {c: v for c, v in form.items() if v} if len(form) > 1 else form
+        if len(row) > 1:
+            for c in row:
+                holders.setdefault(c, set()).add(len(residue))
+            residue.append(row)
+        elif 0 not in row.values():
+            zero.update(row)
+    pending = list(zero)
+    while pending:
+        c = pending.pop()
+        for s in holders.pop(c, ()):
+            row = residue[s]
+            del row[c]
+            if len(row) == 1 and not zero.issuperset(row):
+                zero.update(row)
+                pending += row
+    return zero, [dict(row) for row in sorted({tuple(sorted(row.items())) for row in residue if row})]
+
+
+def _primitive_row(row):
+    """Divide out the content of a sparse integer row and make its leading
+    entry positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
-    if g != 1:
-        row = [x // g for x in row]
-    return row
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def echelon_rows(rows):
-    """Reduce integer rows to echelon form; returns {pivot column: row}.
+    """Echelon form of a list of sparse integer rows: {pivot column: row},
+    each row primitive with its leading entry, at the pivot, positive.
 
-    Fraction-free: each elimination step is a cross-multiplication
-    ``row*p[c] - p*row[c]`` followed by content removal, so every
-    intermediate value is an exact integer of controlled size.  The row
-    space (hence rank and kernel) is preserved exactly.
-    """
-    pivots = {}
-    ncols = len(rows[0]) if rows else 0
-    for src in rows:
-        row = list(src)
-        c = 0
-        while c < ncols:
-            x = row[c]
-            if x == 0:
-                c += 1
-                continue
+    A peeled column u gives the row {u: 1}.  The residue is reduced
+    fraction-free: each step is a cross-multiplication ``row*p[c] -
+    p*row[c]`` followed by content removal, so every intermediate value is
+    an exact integer of controlled size.  The row space (hence rank and
+    kernel) is preserved exactly."""
+    zero, residue = _peel(rows)
+    pivots = {u: {u: 1} for u in zero}
+    for row in residue:
+        while row:
+            c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                pivots[c] = _normalize_row(row)
+                pivots[c] = _primitive_row(row)
                 break
-            a = piv[c]
-            g = gcd(a, x)
-            ma = a // g
-            mb = x // g
-            row = [ma * rj - mb * pj for rj, pj in zip(row, piv)]
-            # row[c] is now zero; periodic content removal keeps entries small
-            row = _normalize_row(row)
-            c += 1
+            g = gcd(piv[c], row[c])
+            ma, mb = piv[c] // g, row[c] // g
+            row = {k: ma * v for k, v in row.items() if k != c}
+            for k, v in piv.items():
+                if k != c:
+                    w = row.get(k, 0) - mb * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+            # row[c] is now gone; content removal keeps entries small
+            if row:
+                row = _primitive_row(row)
     return pivots
 
 
 def rank_int(rows):
-    if not rows:
-        return 0
-    return len(echelon_rows(rows))
+    """Rank over Q of sparse integer rows."""
+    return len(echelon_rows(list(rows)))
 
 
 def _rref_from_pivots(pivots):
@@ -89,26 +114,42 @@ def _rref_from_pivots(pivots):
 def primitive_int_vector(vec):
     """Clear denominators and divide out the content; sign of the first
     nonzero entry becomes positive."""
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    return _normalize_row([int(Fraction(x) * den) for x in vec])
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * den) for x in vec]
+    g = gcd(*ints)
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return [x // g for x in ints] if g not in (0, 1) else ints
 
 
 def kernel_int(rows, ncols):
-    """Primitive integer basis of {x : A x = 0}, one vector per free column,
-    ordered by free column.  Canonical because it is derived from the RREF.
-    """
-    pivots = echelon_rows(rows) if rows else {}
-    cols, rref = _rref_from_pivots(pivots)
-    pivot_set = set(cols)
+    """Primitive integer basis of {x : A x = 0} for sparse integer rows A
+    over columns 0..ncols-1, one vector per free column, ordered by free
+    column.  Canonical because it is derived from the RREF.
+
+    Only the echelon rows of two terms or more go through the rational
+    RREF, over the columns they touch.  A one-term row e_c forces x_c = 0,
+    which every vector read off that RREF has already: its nonzero entries
+    sit at its free column and at pivots, and c is neither.  A free column
+    that no such row touches gives e_f."""
+    pivots = echelon_rows(list(rows))
+    cols = sorted({c for row in pivots.values() if len(row) > 1 for c in row})
+    pos = {c: i for i, c in enumerate(cols)}
+    dense = {pos[c]: [row.get(k, 0) for k in cols] for c, row in pivots.items() if len(row) > 1}
+    rref_cols, rref = _rref_from_pivots(dense)
     basis = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(cols):
-            vec[c] = -rref[r][f]
-        basis.append(primitive_int_vector(vec))
+        vec = [0] * ncols
+        if f in pos:
+            part = [Fraction(0)] * len(cols)
+            part[pos[f]] = Fraction(1)
+            for r, p in enumerate(rref_cols):
+                part[p] = -rref[r][pos[f]]
+            for c, v in zip(cols, primitive_int_vector(part)):
+                vec[c] = v
+        else:
+            vec[f] = 1
+        basis.append(vec)
     return basis

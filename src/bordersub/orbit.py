@@ -99,8 +99,15 @@ def is_concise(T: Tensor3) -> bool:
     matrix is built."""
     if any(len({t[slot] for t in T.entries}) < T.n for slot in range(3)):
         return False
-    entries = integer_entries(T)
-    return all(rank_int([sum(s, []) for s in _slice_matrices(T.n, entries, slot)]) == T.n for slot in range(3))
+    n, entries = T.n, integer_entries(T)
+    for slot in range(3):
+        rows = [{} for _ in range(n)]
+        for idx, c in entries.items():
+            j, k = (v - 1 for s, v in enumerate(idx) if s != slot)
+            rows[idx[slot] - 1][j * n + k] = c
+        if rank_int(rows) < n:
+            return False
+    return True
 
 
 def _mul(a, b):
@@ -152,8 +159,8 @@ def _is_diagonalizable(mat):
     for k in range(2 * n - 1):
         a = min(k, n - 1)
         sums.append(sum(map(mul, chain(*powers[a]), chain(*zip(*powers[k - a])))))
-    distinct = rank_int([sums[i : i + n] for i in range(n)])
-    return distinct == n or rank_int([list(chain(*p)) for p in powers[: distinct + 1]]) == distinct
+    distinct = rank_int([dict(enumerate(sums[i : i + n])) for i in range(n)])
+    return distinct == n or rank_int([dict(enumerate(chain(*p))) for p in powers[: distinct + 1]]) == distinct
 
 
 @dataclass(frozen=True)

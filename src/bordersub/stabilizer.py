@@ -57,13 +57,7 @@ read off |U|, with no elimination:
   |W| + |U| + n - 1 = |W| + 3n(n-1)/2 + n - 1 = (2n^3 + 3n^2 - 2n - 3)/3 =
   dim G - dim G_cone + dim cone at every point.
 
-The ranks and kernels of a general tensor, the cone stabilizer's basis and
-the tests' oracle for the lemma go through one structured elimination
-(LaMacchia & Odlyzko 1990).  ``_split`` peels one-term forms to a fixed
-point: each forces its unknown to 0 and is deleted from the other forms,
-which may leave new one-term forms.  Only the residue reaches integer
-linear algebra: ``rank_int`` for ranks (``_rank_forms``), ``kernel_int``
-for kernels (``_kernel_forms``).
+Other ranks and kernels come from the structured elimination of ``linalg``.
 
 Dimensions come in two conventions: the raw gl^3 level and the faithful
 quotient (subtract 2 for the scalar pairs (a, b, -a-b) acting trivially).
@@ -170,87 +164,6 @@ def _action_map(n, entries):
     return amap
 
 
-def _dense(forms, width):
-    """Dense rows of sparse integer forms {column: coefficient}."""
-    rows = []
-    for form in forms:
-        row = [0] * width
-        for col, v in form.items():
-            row[col] = v
-        rows.append(row)
-    return rows
-
-
-def _compact(rows):
-    """The sorted columns that sparse rows ((column, coefficient), ...)
-    touch, and the rows as dense integer lists over those columns."""
-    cols = sorted({c for row in rows for c, _ in row})
-    pos = {c: i for i, c in enumerate(cols)}
-    return cols, _dense(({pos[c]: v for c, v in row} for row in rows), len(cols))
-
-
-def _split(forms):
-    """Peel the one-term rows of sparse integer forms {unknown:
-    coefficient} to a fixed point and return (zero, rows).
-
-    Zero coefficients are dropped.  A one-term form puts e_u in the row
-    space, forcing u to 0, and subtracting multiples of it deletes u from
-    every other form, which may leave new one-term forms; a column -> rows
-    index finds them.  ``zero`` lists the forced unknowns, sorted; ``rows``
-    are the other forms as tuples of (unknown, coefficient) pairs, sorted
-    and deduplicated, none touching ``zero``.  The row space is span{e_u :
-    u in zero} + rowspace(rows) on disjoint columns, so the RREF is the
-    rows e_u beside the RREF of ``rows``: the rank is len(zero) plus that
-    of ``rows``, and the canonical ``kernel_int`` basis splits the same
-    way."""
-    rows, holders, zero = [], {}, set()
-    for form in forms:
-        row = {c: v for c, v in form.items() if v} if len(form) > 1 else form
-        if len(row) > 1:
-            for c in row:
-                holders.setdefault(c, set()).add(len(rows))
-            rows.append(row)
-        elif 0 not in row.values():
-            zero.update(row)
-    pending = list(zero)
-    while pending:
-        c = pending.pop()
-        for s in holders.pop(c, ()):
-            row = rows[s]
-            del row[c]
-            if len(row) == 1 and not zero.issuperset(row):
-                zero.update(row)
-                pending += row
-    return sorted(zero), sorted({tuple(sorted(row.items())) for row in rows if row})
-
-
-def _rank_forms(forms):
-    """Rank over Q of sparse integer rows {column: coefficient}: len(zero)
-    from ``_split`` plus ``rank_int`` of ``rows`` over their columns."""
-    zero, rows = _split(forms)
-    return len(zero) + rank_int(_compact(rows)[1])
-
-
-def _kernel_forms(forms, width):
-    """``kernel_int`` of the dense rows of ``forms`` over ``width``
-    unknowns, from ``_split``'s parts: an unknown in neither ``zero`` nor
-    the columns of ``rows`` is free and gives e_u; the kernel of ``rows``,
-    embedded at their columns, gives the rest.  Each vector's free column
-    is its last nonzero entry, and the basis is in free-column order."""
-    zero, rows = _split(forms)
-    cols, dense = _compact(rows)
-    by_free = {}
-    for u in set(range(width)).difference(zero, cols):
-        by_free[u] = [0] * width
-        by_free[u][u] = 1
-    for part in kernel_int(dense, len(cols)):
-        vec = [0] * width
-        for c, v in zip(cols, part):
-            vec[c] = v
-        by_free[max(c for c, v in zip(cols, part) if v)] = vec
-    return [by_free[f] for f in sorted(by_free)]
-
-
 def act(lt: LieTriple, T: Tensor3) -> Tensor3:
     """Leibniz action of (x, y, z) on T, exact and linear in both slots."""
     if lt.n != T.n:
@@ -269,19 +182,19 @@ def stabilizer_dim(T: Tensor3) -> int:
     """dim of the full gl^3-level stabilizer algebra of T (kernel of the
     action map).  The faithful symmetry algebra has dimension
     stabilizer_dim - 2 whenever T != 0."""
-    return 3 * T.n * T.n - _rank_forms(_action_map(T.n, integer_entries(T)).values())
+    return 3 * T.n * T.n - rank_int(_action_map(T.n, integer_entries(T)).values())
 
 
 def stabilizer_basis(T: Tensor3) -> list[LieTriple]:
     """Canonical primitive-integer basis of the stabilizer algebra."""
-    vecs = _kernel_forms(_action_map(T.n, integer_entries(T)).values(), 3 * T.n * T.n)
+    vecs = kernel_int(_action_map(T.n, integer_entries(T)).values(), 3 * T.n * T.n)
     return [LieTriple.from_flat(T.n, v) for v in vecs]
 
 
 def orbit_dim_unit(n) -> int:
     """Dimension 3n^2 - 2n of the (affine) orbit of the unit tensor, i.e.
     of the set of all maximal subrank tensors."""
-    return _rank_forms(_action_map(n, integer_entries(unit_tensor(n))).values())
+    return rank_int(_action_map(n, integer_entries(unit_tensor(n))).values())
 
 
 def _unit_forced(n):
@@ -377,7 +290,7 @@ def cone_stabilizer_structure(n) -> StructureReport:
     x_ss + y_ss + z_ss constant across s for every basis element, read off
     the integer kernel vectors (x, y, z row-major, as in LieTriple.flat)."""
     nn = check_n(n) * n
-    vecs = _kernel_forms(_cone_forms(n), 3 * nn)
+    vecs = kernel_int(_cone_forms(n), 3 * nn)
     violations = []
     triangular_ok = trace_ok = True
     for b_idx, v in enumerate(vecs):

@@ -88,14 +88,7 @@ def find_tight_witness(S: Support):
     the collision analysis of the docstring decides tightness, and a
     witness is then constructed deterministically."""
     n = S.n
-    rows = []
-    for (i, j, k) in S.sorted_triples():
-        row = [0] * (3 * n)
-        row[i - 1] += 1
-        row[n + j - 1] += 1
-        row[2 * n + k - 1] += 1
-        rows.append(row)
-    basis = kernel_int(rows, 3 * n)
+    basis = kernel_int([{i - 1: 1, n + j - 1: 1, 2 * n + k - 1: 1} for i, j, k in S.sorted_triples()], 3 * n)
     for p, q in _collision_functionals(n):
         if all(vec[p] == vec[q] for vec in basis):
             return None

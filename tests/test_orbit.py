@@ -183,12 +183,38 @@ def test_conciseness_reads_missing_index_values_before_building_slices(monkeypat
         raise AssertionError("slice matrices built")
 
     monkeypatch.setattr(orbit, "_slice_matrices", no_slices)
+    monkeypatch.setattr(orbit, "rank_int", no_slices)
     assert not is_concise(Tensor3(200, {}))
     # slots A and B see 1, 2, 3; slot C never sees 3
     T = Tensor3(3, {(1, 1, 1): Fraction(1), (2, 2, 2): Fraction(1), (3, 3, 1): Fraction(1)})
     assert not is_concise(T)
     v = unit_orbit_member(T, seed=0)
     assert (v.verdict, v.reason) == ("non_member", "not concise: some flattening has rank < n")
+
+
+def test_conciseness_matches_fraction_rank_of_flattenings():
+    # random tensors at n <= 4, sparse enough that many leave some index
+    # value without an entry, against a Fraction elimination of the dense
+    # n x n^2 flattenings
+    from test_linalg import fraction_rank
+
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        entries = {}
+        for _ in range(rng.randint(0, 2 * n)):
+            t = (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
+            entries[t] = Fraction(rng.choice((1, 2, -1, -3)), rng.randint(1, 3))
+        T = Tensor3(n, entries)
+        index = range(1, n + 1)
+        at = lambda slot, a, b, c: (b, c)[:slot] + (a,) + (b, c)[slot:]
+        flattening = lambda s: [[T.entries.get(at(s, a, b, c), 0) for b in index for c in index] for a in index]
+        expected = all(fraction_rank(flattening(s)) == n for s in range(3))
+        assert is_concise(T) is expected
+        seen.add((expected, all(len({t[s] for t in T.entries}) == n for s in range(3))))
+    # concise tensors, and non-concise ones with and without an empty slice
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_conciseness_unit_plus_perturbation():
