@@ -26,16 +26,18 @@ def _peel(rows):
     """Peel the one-term rows to a fixed point: (peeled columns, residue).
 
     Zero coefficients are dropped.  The residue rows have two terms or
-    more, none at a peeled column, and come sorted and deduplicated."""
+    more, none at a peeled column, and come sorted and deduplicated.  The
+    column -> rows index is built only when some row has one term."""
     residue, holders, zero = [], {}, set()
     for form in rows:
         row = {c: v for c, v in form.items() if v} if len(form) > 1 else form
         if len(row) > 1:
-            for c in row:
-                holders.setdefault(c, set()).add(len(residue))
             residue.append(row)
         elif 0 not in row.values():
             zero.update(row)
+    for s, row in enumerate(residue if zero else ()):
+        for c in row:
+            holders.setdefault(c, set()).add(s)
     pending = list(zero)
     while pending:
         c = pending.pop()

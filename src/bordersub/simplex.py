@@ -23,26 +23,37 @@ common denominator).  Basic columns are den * e_i and carry no
 information.  So the u_j/v_j and sur_r/art_r pairs are the real unknowns:
 m of them are basic at any time (never both members of one pair, as their
 columns are parallel) and d are not.  Only the d nonbasic pairs are stored
-(Chvatal, "Linear Programming", 1983): an m x d integer matrix holding the
-column of each pair's first member (u_j or sur_r) and its reduced cost.  The
-other member is derived when Bland's rule looks at it.
+(Chvatal, "Linear Programming", 1983): an (m + 1) x d integer matrix holding
+the column of each pair's first member (u_j or sur_r) with its reduced cost
+last, beside the right-hand sides with the objective last.  The other
+member is derived when Bland's rule looks at it.
 
 Bland's rule (least eligible index, entering and leaving; Bland 1977) still
 runs over the virtual order u, v, sur, art, so the pivot sequence, and
-hence the returned vertex, equals the full tableau's.  Every pivot brings
-in a member of a nonbasic pair, and the leaving pair's first-member column
-takes the entering pair's slot: sur_r never enters while art_r is basic,
-as its reduced cost is then den.
+hence the returned vertex, equals the full tableau's.  art_r is numbered
+_ART + r, with _ART = 2^62 above every u, v and sur index of a system that
+fits in memory: that keeps the order of the consecutive numbering
+2d + m + r, so Bland's choices are the same, and ``add`` appends a row
+with no renumbering.  Every pivot brings in a member of a nonbasic pair,
+and the leaving pair's first-member column takes the entering pair's
+slot: sur_r never enters while art_r is basic, as its reduced cost is
+then den.
 
-Arithmetic is fraction-free (Edmonds/Bareiss integer pivoting): a pivot on
-entry p rescales every other row by p/den with a cross-multiplication whose
-division is exact, since all entries are minors of the original integer
-system, and the pivot row stays unscaled.  A column with no entry on the
-pivot row only takes the factor p/den, so when p equals den (most pivots
-of the nullcone systems) it is left as it is, and so is the right-hand
-side when its pivot-row entry is zero.  The rows go in as integers and
-every number that comes out is an integer; a caller with rational rows
-clears their denominators first.
+Arithmetic is fraction-free (Edmonds/Bareiss integer pivoting).  A pivot on
+entry p maps each entry x off the pivot row to (x p - f k) / den, with f
+the entering column's entry on x's row and k the entry of x's column on the
+pivot row; the pivot row stays unscaled.  The division is exact, as every
+entry is a minor of the integer system with its cost row (the reduced costs
+and the objective, kept last).  ``_combine`` skips the cross-multiplication
+where that leaves the integer unchanged: when den divides p and k, the
+entry is x (p/den) - f (k/den), a plain difference or sum of two columns
+when p = den and k = +-den; when p = den alone, den divides f k and the
+entry is x - f k / den; when k = 0 and p divides den, x p / den is
+x / (den/p).  Most pivots of the nullcone systems have p = den, most of
+those den = 1; a column with k = 0 is then left as it is, and so is the
+right-hand side when its pivot-row entry is zero.  The rows go in as
+integers and every number that comes out is an integer; a caller with
+rational rows clears their denominators first.
 
 An infeasible system ends with a positive phase-1 objective, and the final
 dictionary then holds a Farkas certificate: multipliers y >= 0 with
@@ -70,7 +81,7 @@ so the basis is primal feasible for the extended phase-1 problem, and the
 same loop goes on from it with no dual simplex.  The new basic column is
 +-e on the new row, so the basis determinant keeps its absolute value den
 and every entry is still a minor.  In Bland's virtual order the new
-surplus is 2d + m, and every artificial index moves up by one.
+surplus is 2d + m and the new artificial _ART + m; no index moves.
 
 Bland's rule terminates from any feasible basis, not only the artificial
 one, and the phase-1 objective stays bounded below by zero.  The reduced
@@ -85,7 +96,7 @@ multipliers for y >= 0, y^T A = 0 and y^T b > 0.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import InternalError, InvalidValueError
 
@@ -101,6 +112,32 @@ def phase_one(num_vars, cons):
     return Dictionary(num_vars, cons).solve()
 
 
+_ART = 1 << 62  # the virtual index of art_0 (module docstring)
+
+
+def _combine(c, ecol, piv, pk, den):
+    """The column (c * piv - ecol * pk) / den, exact; the module docstring
+    says why each shortcut gives the same integers."""
+    a, r = divmod(piv, den)
+    b, s = divmod(pk, den)
+    if not (r or s):
+        if not b:
+            return [x * a for x in c]
+        if a == 1:
+            if b == 1:
+                return list(map(sub, c, ecol))
+            if b == -1:
+                return list(map(add, c, ecol))
+            return [x - b * f for x, f in zip(c, ecol)]
+        return [a * x - b * f for x, f in zip(c, ecol)]
+    if piv == den:
+        return [x - f * pk // den for x, f in zip(c, ecol)]
+    if not pk and den % piv == 0:
+        q = den // piv
+        return [x // q for x in c]
+    return [(x * piv - f * pk) // den for x, f in zip(c, ecol)]
+
+
 def _check_rhs(rhs):
     if rhs < 0:
         raise InvalidValueError("right-hand sides must be >= 0; homogenise to a . x - b t >= 0, t >= 1")
@@ -113,7 +150,7 @@ class Dictionary:
     does.  ``copy`` gives an independent dictionary to extend, so a solved
     system can answer many one-row extensions."""
 
-    __slots__ = ("num_vars", "cons", "cols", "zs", "pair", "basis", "rhs", "obj", "den", "pivots")
+    __slots__ = ("num_vars", "cons", "cols", "pair", "basis", "rhs", "den", "pivots")
 
     def __init__(self, num_vars, cons=()):
         d = num_vars
@@ -123,22 +160,19 @@ class Dictionary:
         _check_rhs(min(rhs, default=0))
         self.num_vars = d
         self.cons = cons
-        # cols[k]: the first-member column of slot k; zs[k]: its reduced cost
-        self.cols = [list(col) for col in zip(*(row for row, _ in cons))] if m else [[] for _ in range(d)]
-        self.zs = [-sum(col) for col in self.cols]
+        # cols[k]: the first-member column of slot k, its reduced cost last
+        cols = [list(col) for col in zip(*(row for row, _ in cons))] if m else [[] for _ in range(d)]
+        self.cols = [col + [-sum(col)] for col in cols]
         self.pair = list(range(d))  # the pair held in each slot
-        self.basis = [2 * d + m + r for r in range(m)]
-        self.rhs = rhs
-        self.obj = -sum(rhs)
+        self.basis = [_ART + r for r in range(m)]
+        self.rhs = rhs + [-sum(rhs)]  # the objective last
         self.den = 1
         self.pivots = 0  # pivots made since the start state
 
     def copy(self):
         new = Dictionary.__new__(Dictionary)
-        new.num_vars, new.obj, new.den, new.pivots = self.num_vars, self.obj, self.den, self.pivots
-        new.cons, new.zs, new.pair, new.basis, new.rhs = (
-            list(self.cons), list(self.zs), list(self.pair), list(self.basis), list(self.rhs)
-        )
+        new.num_vars, new.den, new.pivots = self.num_vars, self.den, self.pivots
+        new.cons, new.pair, new.basis, new.rhs = list(self.cons), list(self.pair), list(self.basis), list(self.rhs)
         new.cols = [list(col) for col in self.cols]
         return new
 
@@ -146,29 +180,26 @@ class Dictionary:
         """Append the row coeffs . x >= rhs, written in the current basis;
         the basis stays primal feasible (see the module docstring)."""
         _check_rhs(rhs)
-        d, m, den, basis = self.num_vars, len(self.cons), self.den, self.basis
-        art = 2 * d + m  # the first artificial, before the shift
+        d, m, den = self.num_vars, len(self.cons), self.den
         row = [den * coeffs[p] if p < d else 0 for p in self.pair]
         b = den * rhs
         # eliminate each basic u_j (coefficient a_j) and v_j (-a_j)
-        for i, var in enumerate(basis):
+        for i, var in enumerate(self.basis):
             if var < 2 * d:
                 a = coeffs[var] if var < d else -coeffs[var - d]
                 if a:
                     row = [r - a * col[i] for r, col in zip(row, self.cols)]
                     b -= a * self.rhs[i]
-        self.basis = [var + 1 if var >= art else var for var in basis]
         if b >= 0:  # the new artificial is basic, at cost den
-            self.basis.append(art + 1 + m)
-            self.zs = [z - r for z, r in zip(self.zs, row)]
-            self.obj -= b
+            self.basis.append(_ART + m)
+            for col, r in zip(self.cols, row):
+                col[m:] = r, col[m] - r
+            self.rhs[m:] = b, self.rhs[m] - b
         else:  # the new surplus is basic
-            self.basis.append(art)
-            row = [-r for r in row]
-            b = -b
-        for col, r in zip(self.cols, row):
-            col.append(r)
-        self.rhs.append(b)
+            self.basis.append(2 * d + m)
+            for col, r in zip(self.cols, row):
+                col.insert(m, -r)
+            self.rhs.insert(m, -b)
         self.cons.append((coeffs, rhs))
 
     def solve(self):
@@ -177,30 +208,34 @@ class Dictionary:
         d, cons = self.num_vars, self.cons
         m = len(cons)
         # virtual column indices: u_j = j, v_j = d + j, sur_r = 2d + r,
-        # art_r = 2d + m + r; a pair is named by its first member (u_j, sur_r)
-        V, SUR, ART = d, 2 * d, 2 * d + m
-        cols, zs, pair, basis = self.cols, self.zs, self.pair, self.basis
-        rhs, obj, den = self.rhs, self.obj, self.den
+        # art_r = _ART + r; a pair is named by its first member (u_j, sur_r)
+        V, SUR = d, 2 * d
+        cols, pair, basis, rhs, den = self.cols, self.pair, self.basis, self.rhs, self.den
         pivots = self.pivots
 
         while True:
             enter = None
             for k in range(d):
-                p, zk = pair[k], zs[k]
+                p, zk = pair[k], cols[k][m]
                 if zk < 0:  # u_j or sur_r
                     e, ze, sign = p, zk, 1
                 else:  # v_j = -u_j, or art_r = -sur_r at cost den
                     ze = (den if p >= SUR else 0) - zk
                     if ze >= 0:
                         continue
-                    e, sign = p + (m if p >= SUR else d), -1
+                    e, sign = p + (_ART - SUR if p >= SUR else d), -1
                 if enter is None or e < enter:
                     enter, slot, zf, esign = e, k, ze, sign
             if enter is None:
                 break
 
+            # ecol: the entering column, its reduced cost zf last
             col = cols[slot]
-            ecol = col if esign > 0 else [-c for c in col]
+            if esign > 0:
+                ecol = col
+            else:
+                ecol = [-c for c in col]
+                ecol[m] = zf
             leave = None
             for i in range(m):
                 a = ecol[i]
@@ -216,52 +251,44 @@ class Dictionary:
                 # the phase-1 objective is bounded below by zero
                 raise InternalError("phase-1 simplex unbounded")
             piv = ecol[leave]
-            rescale = piv != den
             for k in range(d):
-                if k == slot:
-                    continue
                 c = cols[k]
                 pk = c[leave]
-                if pk:
-                    c = [(x * piv - f * pk) // den for x, f in zip(c, ecol)]
+                if k != slot and (pk or piv != den):
+                    c = _combine(c, ecol, piv, pk, den)
                     c[leave] = pk
                     cols[k] = c
-                    zs[k] = (zs[k] * piv - zf * pk) // den
-                elif rescale:
-                    cols[k] = [x * piv // den for x in c]
-                    zs[k] = zs[k] * piv // den
             prhs = rhs[leave]
-            if prhs or rescale:
-                rhs = [(x * piv - f * prhs) // den for x, f in zip(rhs, ecol)]
+            if prhs or piv != den:
+                rhs = _combine(rhs, ecol, piv, prhs, den)
                 rhs[leave] = prhs
-            obj = (obj * piv - zf * prhs) // den
 
-            # the leaving column becomes -ecol off the pivot row and den on it;
+            # the leaving column is -ecol off the pivot row and den on it;
             # tau maps it to its pair's first member
             out = basis[leave]
             tau, zold = 1, 0
-            if out >= ART:  # sur_r = -art_r, and z(sur_r) was den; times piv/den
-                tau, zold, out = -1, piv, out - m
+            if out >= _ART:  # sur_r = -art_r, and z(sur_r) was den; times piv/den
+                tau, zold, out = -1, piv, out - _ART + SUR
             elif V <= out < SUR:  # u_j = -v_j
                 tau, out = -1, out - d
-            c = [-f for f in ecol] if tau > 0 else list(ecol)
-            c[leave] = tau * den
+            # -tau * ecol is +-col: reuse the list that already holds it
+            c = col if tau * esign < 0 else ecol if esign < 0 else [-f for f in col]
+            c[leave], c[m] = tau * den, zold - zf * tau
             cols[slot] = c
-            zs[slot] = zold - zf * tau
             pair[slot] = out
             basis[leave] = enter
             den = piv
             pivots += 1
 
-        self.rhs, self.obj, self.den, self.pivots = rhs, obj, den, pivots
-        if obj != 0:
+        self.rhs, self.den, self.pivots = rhs, den, pivots
+        if rhs[m] != 0:
             y = [0] * m
             for k in range(d):
                 if pair[k] >= SUR:
-                    y[pair[k] - SUR] = zs[k]
+                    y[pair[k] - SUR] = cols[k][m]
             for var in basis:
-                if var >= ART:
-                    y[var - ART] = den
+                if var >= _ART:
+                    y[var - _ART] = den
             if any(v < 0 for v in y):
                 raise InternalError("simplex returned negative Farkas multipliers")
             for j in range(d):

@@ -138,3 +138,29 @@ def test_sparse_rank_and_kernel_match_fraction_rref(case):
     assert set(chain) <= zero
     assert all(len(row) > 1 and not zero & set(row) and all(row.values()) for row in residue)
     assert forms == before  # the caller's rows are never modified
+
+
+def test_dense_rows_with_and_without_a_one_term_row():
+    # dense rows have no one-term row, so no row is peeled; one added
+    # one-term row {c: v} peels c from every row, which must give the rank
+    # and kernel of the same rows with e_c added
+    rng = random.Random(83)
+    for _ in range(60):
+        nrows = rng.randint(2, 7)
+        ncols = rng.randint(2, 8)
+        rows = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(ncols)] for _ in range(nrows)]
+        c = rng.randrange(ncols)
+        unit = [int(j == c) for j in range(ncols)]
+        with_unit = rows + [unit]
+        forms = sparse(rows)
+        zero, residue = _peel(forms)
+        keys = [tuple(sorted(row.items())) for row in residue]
+        assert zero == set() and keys == sorted(set(keys))  # sorted, deduplicated
+        assert set(keys) == {tuple(sorted(form.items())) for form in forms}
+        assert rank_int(forms) == fraction_rank(rows)
+        assert kernel_int(forms, ncols) == fraction_kernel(rows, ncols)
+        forms = forms + [{c: rng.choice([-2, -1, 1, 2])}]
+        zero, residue = _peel(forms)
+        assert zero >= {c} and all(c not in row for row in residue)
+        assert rank_int(forms) == fraction_rank(with_unit)
+        assert kernel_int(forms, ncols) == fraction_kernel(with_unit, ncols)

@@ -20,6 +20,15 @@ W_CERTIFICATES_DIGEST = "eb34591e3b9f2a0e90f10d07a426347fc4f53eafadacdab55572172
 # sha256 of the raw phase_one outputs ((x, den), None) or (None, y) over the
 # same random systems, computed before pivots skipped identity rescales
 RANDOM_OUTPUTS_DIGEST = "e205caa2a4042ea93757d50341dacf864ff420417bcf84d56fd7aebf7e284c8a"
+# Dictionary.pivots of nullcone_feasible(build_W(n)) for n = 2..8, the sha256
+# of the n = 7, 8 certificates, and the sha256 of the (raw output, pivots)
+# of every warm solve in the add/copy sequences below; all computed before
+# pivots with piv == den skipped the cross-multiplication and before
+# ``add`` put artificials at a fixed offset
+W_PIVOTS = [3, 21, 67, 229, 402, 778, 1325]
+W_LARGE_CERTIFICATES_DIGEST = "a534fb6b8e70a257b9e201863cc05de1f4ebabaadd9bab1738f65df5beab4af7"
+WARM_OUTPUTS_COUNT = 4181
+WARM_OUTPUTS_DIGEST = "9d7a8ff2ce588b0f87af43f82af41510c6999562c283290f4c4a93f6b208bc53"
 
 
 def _digest(results):
@@ -224,35 +233,65 @@ def verdict(num_vars, rows, outcome):
 def warm_equals_cold(num_vars, rows, prefix):
     """Solve rows[:prefix] from the start, then add the other rows one at a
     time to a copy of the last dictionary and solve again; every verdict
-    must equal the one of solving the same rows from the start."""
+    must equal the one of solving the same rows from the start.  Returns
+    the raw output and the pivot count of every warm solve."""
     first = lp = Dictionary(num_vars, rows[:prefix])
     feasible = phase_one(num_vars, rows[:prefix])[0] is not None
-    assert verdict(num_vars, rows[:prefix], lp.solve()) == feasible
+    out = lp.solve()
+    assert verdict(num_vars, rows[:prefix], out) == feasible
+    outputs = [(out, lp.pivots)]
     for r in range(prefix, len(rows)):
         lp = lp.copy()
         lp.add(*rows[r])
         feasible = phase_one(num_vars, rows[: r + 1])[0] is not None
-        assert verdict(num_vars, rows[: r + 1], lp.solve()) == feasible
+        out = lp.solve()
+        assert verdict(num_vars, rows[: r + 1], out) == feasible
+        outputs.append((out, lp.pivots))
     # the copies left the first dictionary as it was: it takes all the
     # other rows at once and reaches the same verdict
     for row in rows[prefix:]:
         first.add(*row)
-    assert verdict(num_vars, rows, first.solve()) == feasible
+    out = first.solve()
+    assert verdict(num_vars, rows, out) == feasible
+    outputs.append((out, first.pivots))
+    return outputs
 
 
 def test_added_rows_give_the_verdicts_of_solving_from_the_start():
     # the homogenised systems with t >= 1 first, so that a prefix can be
     # infeasible, and a seeded prefix solved before the rest are added
     rng = random.Random(73)
+    outputs = []
     for d, cons in random_systems():
         rows = homogenised(d, cons)
         rows = rows[-1:] + rows[:-1]
-        warm_equals_cold(d + 1, rows, rng.randint(0, len(rows)))
+        outputs += warm_equals_cold(d + 1, rows, rng.randint(0, len(rows)))
+    # and the same raw outputs and pivot counts as before ``add`` put the
+    # new row's artificial at a fixed offset
+    assert len(outputs) == WARM_OUTPUTS_COUNT
+    assert _digest(outputs) == WARM_OUTPUTS_DIGEST
 
 
 def test_same_W_certificates_as_full_tableau():
     certs = [nullcone_feasible(build_W(n)).certificate for n in range(2, 7)]
     assert _digest(certs) == W_CERTIFICATES_DIGEST
+
+
+def test_same_W_pivots_and_certificates_up_to_n8(monkeypatch):
+    # the pivot count of each W(n) LP, and the n = 7, 8 certificates, as
+    # before pivots with piv == den skipped the cross-multiplication
+    pivots = []
+    real = Dictionary.solve
+
+    def counted(lp):
+        out = real(lp)
+        pivots.append(lp.pivots)
+        return out
+
+    monkeypatch.setattr(Dictionary, "solve", counted)
+    certs = [nullcone_feasible(build_W(n)).certificate for n in range(2, 9)]
+    assert pivots == W_PIVOTS
+    assert _digest(certs[5:]) == W_LARGE_CERTIFICATES_DIGEST
 
 
 def _coefficient(rational):
