@@ -139,7 +139,7 @@ def _certificate_from_point(n, x):
         lam = [v // g for v in lam]
         mu = [v // g for v in mu]
         nu = [v // g for v in nu]
-    return TorusWeight(n, tuple(lam), tuple(mu), tuple(nu))
+    return TorusWeight._made(n, tuple(lam), tuple(mu), tuple(nu))
 
 
 def _constraint(n, t, inside):
@@ -258,7 +258,7 @@ def _images(table, triples, cert):
     for g, move in table:
         image = frozenset(map(move.__getitem__, triples))
         if image not in images:
-            images[image] = TorusWeight(cert.n, *g.on_vectors(vectors))
+            images[image] = TorusWeight._made(cert.n, *g.on_vectors(vectors))
     return images
 
 

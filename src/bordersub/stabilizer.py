@@ -40,17 +40,28 @@ distinct unit terms, so these |U| rows, in root-weight order, are
 triangular with unit pivots whatever the coefficients on W.
 
 ``_unit_forced`` checks H1 and H2 by bitmasks and returns U: the 3n(n-1)/2
-entries of x above the diagonal and of y and z below it.  Both counts are
-read off |U|, with no elimination:
+entries of x above the diagonal and of y and z below it.  Both counts, and
+the cone stabilizer's basis, are read off U with no elimination:
 
 * the cone stabilizer is the kernel of "act(g) lies in <unit, W> for every
   generator g in {unit} + {e_w}", and <unit, W> is the set of v with v_c = 0
   at every c outside W + diag and v_(1,1,1) = ... = v_(n,n,n).  The unit
-  gives the forms {u: 1}, u in U, and the n - 1 trace rows; by H2 the forms
-  of each e_w lie on U, in the span of the {u: 1}.  Each trace row holds
-  its own x_ii, i >= 2, so the rank is |U| + n - 1, and the gl^3-level
-  kernel has dimension 3n^2 - 3n(n-1)/2 - (n-1), the quotient
-  (3n^2 + n - 2)/2;
+  gives the forms {u: 1}, u in U, and the n - 1 trace rows t_i - t_1,
+  t_i = x_ii + y_ii + z_ii; by H2 the forms of each e_w lie on U, in the
+  span of the {u: 1}.  Each trace row holds its own x_ii, i >= 2, so the
+  rank is |U| + n - 1, and the gl^3-level kernel has dimension
+  3n^2 - 3n(n-1)/2 - (n-1), the quotient (3n^2 + n - 2)/2;
+* the forms' reduced echelon form is e_u, u in U, beside t_i - t_n with
+  pivot x_ii, i < n, so the canonical kernel basis (``kernel_int``'s), one
+  v_f per free column f in order, is e_f for each off-diagonal f outside
+  U, e_(x_ii) - e_f for f = y_ii or z_ii, i < n, and sum_(i<n) e_(x_ii) +
+  e_f for f = x_nn, y_nn or z_nn.  ``_cone_kernel`` re-checks it against
+  the forms: (1) every form vanishes on every v_f; (2) the forms have
+  distinct last columns, so are independent, and there are 3n^2 minus as
+  many vectors; (3) each v_f has leading entry 1 and last column f, its
+  other columns pivots.  A kernel vector's last column is free, so by (3)
+  each f is free and by (2) the f are all the free columns; so v_f, zero
+  at every other free column, is f's reduced vector, primitive by (3);
 * the tangent space at unit + w of the orbit of the cone is
   act(gl^3, unit + w) + <unit, W>, whose |W| unit vectors remove the
   coordinates of W.  By the lemma its projective dimension is
@@ -245,6 +256,35 @@ def _cone_forms(n):
     return [{u: 1} for u in _unit_forced(n)[1]] + trace
 
 
+def _cone_kernel(n):
+    """The canonical kernel basis of ``_cone_forms(n)`` as tuples, in closed
+    form and re-checked against the forms (module docstring); U is read
+    off the one-term forms.  InternalError if a check fails."""
+    nn = n * n
+    forms = _cone_forms(n)
+    x_diag = range(0, nn - 1, n + 1)  # x_ii, i < n: the trace rows' pivots
+    pivots = {c for form in forms if len(form) == 1 for c in form}.union(x_diag)
+    index = {}  # column -> the indices of the forms holding it
+    for r, form in enumerate(forms):
+        for c in form:
+            index.setdefault(c, set()).add(r)
+    vecs = []
+    for f in (f for f in range(3 * nn) if f not in pivots):
+        d, off = divmod(f % nn, n + 1)
+        v = {f: 1} if off else {d * (n + 1): 1, f: -1} if d < n - 1 else {**dict.fromkeys(x_diag, 1), f: 1}
+        touched = set().union(*(index.get(c, ()) for c in v))
+        reduced = max(v) == f and v[min(v)] == 1 and pivots.issuperset(v.keys() - {f})
+        if not reduced or any(sum(a * forms[r].get(c, 0) for c, a in v.items()) for r in touched):
+            raise InternalError(f"the cone kernel vector of column {f} fails its re-check")
+        vec = [0] * (3 * nn)
+        for c, a in v.items():
+            vec[c] = a
+        vecs.append(tuple(vec))
+    if len(vecs) != 3 * nn - len(forms) or len({max(form) for form in forms}) != len(forms):
+        raise InternalError(f"{len(vecs)} cone kernel vectors for {len(forms)} forms over {3 * nn} unknowns")
+    return tuple(vecs)
+
+
 def cone_stabilizer_dim(n) -> int:
     """Faithful-quotient dimension (3n^2 + n - 2)/2 of the algebra
     preserving the cone over the unit tensor and W; the gl^3-level kernel
@@ -288,20 +328,20 @@ def cone_stabilizer_structure(n) -> StructureReport:
     """Canonical basis of the cone stabilizer plus the structural checks:
     x lower-triangular, y and z upper-triangular, and the diagonal sums
     x_ss + y_ss + z_ss constant across s for every basis element, read off
-    the integer kernel vectors (x, y, z row-major, as in LieTriple.flat)."""
+    the integer kernel vectors (x, y, z row-major, as in LieTriple.flat),
+    which ``_cone_kernel`` reads off U and re-checks (module docstring)."""
     nn = check_n(n) * n
-    vecs = kernel_int(_cone_forms(n), 3 * nn)
+    vecs = _cone_kernel(n)
+    above = [c for c in range(nn) if c % n > c // n]  # x_pq must vanish for q > p, y_pq and z_pq for q < p
+    below = [c for c in range(nn) if c % n < c // n]
     violations = []
     triangular_ok = trace_ok = True
     for b_idx, v in enumerate(vecs):
-        for p in range(n):
-            for q in range(n):
-                if q > p and v[p * n + q]:
-                    violations.append(f"basis[{b_idx}]: x[{p+1}][{q+1}] nonzero above diagonal")
-                    triangular_ok = False
-                if q < p and (v[nn + p * n + q] or v[2 * nn + p * n + q]):
-                    violations.append(f"basis[{b_idx}]: y/z[{p+1}][{q+1}] nonzero below diagonal")
-                    triangular_ok = False
+        bad = [(c, "x", "above") for c in above if v[c]]
+        bad += [(c, "y/z", "below") for c in below if v[nn + c] or v[2 * nn + c]]
+        for c, m, side in sorted(bad):
+            violations.append(f"basis[{b_idx}]: {m}[{c // n + 1}][{c % n + 1}] nonzero {side} diagonal")
+        triangular_ok = triangular_ok and not bad
         if len({v[d] + v[nn + d] + v[2 * nn + d] for d in range(0, nn, n + 1)}) > 1:
             violations.append(f"basis[{b_idx}]: diagonal sums not constant")
             trace_ok = False
@@ -309,7 +349,7 @@ def cone_stabilizer_structure(n) -> StructureReport:
         n=n,
         dim_full=len(vecs),
         dim_quotient=len(vecs) - ACTION_KERNEL_DIM,
-        kernel=tuple(map(tuple, vecs)),
+        kernel=vecs,
         triangular_ok=triangular_ok,
         trace_ok=trace_ok,
         violations=tuple(violations),

@@ -13,7 +13,9 @@ Conventions used everywhere in the package:
 * inputs are checked once, at the public boundary: by each public
   constructor, and by ``check_n`` first in each public function taking n.
   ``Support._made`` checks nothing, as the package gives it only triples
-  made over [1, n]^3 or taken from checked values, n checked first.
+  made over [1, n]^3 or taken from checked values, n checked first; nor
+  does ``weights.TorusWeight._made``, given only integer cocharacters the
+  package made with zero column sums.
 
 The three staircase supports come from the "some other index is smaller
 than the distinguished one" conditions:

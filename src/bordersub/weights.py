@@ -45,6 +45,15 @@ class TorusWeight:
                     f"{self.lam[i] + self.mu[i] + self.nu[i]} != 0"
                 )
 
+    @classmethod
+    def _made(cls, n, lam, mu, nu):
+        """Unchecked: for integer tuples the package made with zero column
+        sums, n checked first (``tensors`` module docstring)."""
+        tw = object.__new__(cls)
+        for name, value in (("n", n), ("lam", lam), ("mu", mu), ("nu", nu)):
+            object.__setattr__(tw, name, value)
+        return tw
+
     def weight(self, triple) -> int:
         return weight_of(self, triple)
 
@@ -77,7 +86,7 @@ def binary_cocharacter(n) -> TorusWeight:
     check_n(n)
     lam = tuple(2**n - 2 ** (n - k + 1) for k in range(1, n + 1))
     mu = tuple(2 ** (n - k) - 2 ** (n - 1) for k in range(1, n + 1))
-    return TorusWeight(n, lam, mu, mu)
+    return TorusWeight._made(n, lam, mu, mu)
 
 
 def _positive(tw: TorusWeight, triples):

@@ -1,7 +1,7 @@
 """Inputs are checked once, at the public boundary.  Every public function
-taking n checks it first; the supports the package makes skip the per-triple
-check and must still equal and hash like checked ones; the cone-stabilizer
-report builds its LieTriple basis only when asked."""
+taking n checks it first; the supports and cocharacters the package makes
+skip the per-entry checks and must still equal and hash like checked ones;
+the cone-stabilizer report builds its LieTriple basis only when asked."""
 
 import pytest
 
@@ -84,6 +84,25 @@ def test_made_supports_equal_checked_ones():
         assert S == checked and hash(S) == hash(checked)
         assert all(type(t) is tuple and all(type(v) is int for v in t) for t in S.triples)
     assert made[-2] == bs.Support.of(4, map(bs.Symmetry(4, (2, 4, 1, 3), (1, 2, 0)), bs.build_W(4).triples))
+
+
+def test_made_certificates_equal_checked_ones():
+    from itertools import product
+
+    from bordersub.nullcone import _images
+
+    comps = bs.enumerate_maximal_components(3).components
+    made = [bs.binary_cocharacter(n) for n in range(1, 7)]
+    made += [bs.nullcone_feasible(S).certificate for S in (*comps, bs.build_W(5), bs.build_tight_U(4))]
+    universe = list(product(range(1, 4), repeat=3))
+    table = [(g, {t: g._image(t) for t in universe}) for g in bs.Symmetry.all(3)]
+    for S in comps[:3]:
+        made += _images(table, S.triples, bs.nullcone_feasible(S).certificate).values()
+    for tw in made:
+        checked = bs.TorusWeight(tw.n, tw.lam, tw.mu, tw.nu)
+        assert tw == checked and hash(tw) == hash(checked) and bs.TorusWeight.from_json(tw.to_json()) == tw
+        assert all(type(seq) is tuple and all(type(v) is int for v in seq) for seq in (tw.lam, tw.mu, tw.nu))
+    assert len(made) > 150
 
 
 def test_structure_report_builds_its_basis_on_request(monkeypatch):

@@ -313,11 +313,11 @@ def test_cone_structure_reports_planted_violations(monkeypatch):
     clean = [1, 0, 0, 1] + [0] * 8
     trace = [2, 0, 0, 1] + [0] * 8
     shape = [0, 1, 0, 0] + [0] * 4 + [0, 0, 1, 0]
-    monkeypatch.setattr(st, "kernel_int", lambda forms, width: [clean, trace])
+    monkeypatch.setattr(st, "_cone_kernel", lambda n: (tuple(clean), tuple(trace)))
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == ("basis[1]: diagonal sums not constant",)
     assert (rep.triangular_ok, rep.trace_ok, rep.passes) == (True, False, False)
-    monkeypatch.setattr(st, "kernel_int", lambda forms, width: [shape, clean])
+    monkeypatch.setattr(st, "_cone_kernel", lambda n: (tuple(shape), tuple(clean)))
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == (
         "basis[0]: x[1][2] nonzero above diagonal",
@@ -383,6 +383,49 @@ def test_cone_condition_split():
         full = [form for per_generator in _full_cone_forms(n) for form in per_generator]
         assert [lt.flat() for lt in cone_stabilizer_structure(n).basis] == kernel_int(full, 3 * n * n)
         assert cone_stabilizer_dim(n) == 3 * n * n - rank_int(full) - 2
+
+
+def test_cone_kernel_matches_the_elimination():
+    from bordersub.linalg import kernel_int
+    from bordersub.stabilizer import _cone_forms
+
+    for n in range(1, 13):
+        assert cone_stabilizer_structure(n).kernel == tuple(map(tuple, kernel_int(_cone_forms(n), 3 * n * n)))
+
+
+def test_cone_structure_runs_no_elimination(monkeypatch):
+    import bordersub.linalg as la
+    import bordersub.stabilizer as st
+
+    def refuse(*args):
+        raise AssertionError("an elimination ran")
+
+    for module, name in ((st, "rank_int"), (st, "kernel_int"), (la, "echelon_rows"), (la, "_peel")):
+        monkeypatch.setattr(module, name, refuse)
+    for n in range(1, 9):
+        rep = cone_stabilizer_structure(n)
+        assert rep.dim_full == (3 * n * n + n + 2) // 2 and rep.passes
+
+
+def test_cone_kernel_recheck_fires(monkeypatch):
+    # the closed form reads U off the one-term forms, so a form of two terms
+    # or more beside the trace rows fails a check: x_nn - y_nn and
+    # t_1 = x_11 + y_11 + z_11 are 1 on v_(x_nn) = x_11 + ... + x_nn, and a
+    # repeated trace row keeps every vector in the kernel but leaves one
+    # vector too many
+    import bordersub.stabilizer as st
+
+    real = st._cone_forms
+    for n in (2, 3, 5):
+        x_nn, y_nn = n * n - 1, 2 * n * n - 1
+        for extra, message in (
+            ({x_nn: 1, y_nn: -1}, "fails its re-check"),
+            ({0: 1, n * n: 1, 2 * n * n: 1}, "fails its re-check"),
+            (dict(real(n)[-1]), "cone kernel vectors for"),
+        ):
+            monkeypatch.setattr(st, "_cone_forms", lambda n: real(n) + [extra])
+            with pytest.raises(InternalError, match=message):
+                st.cone_stabilizer_structure(n)
 
 
 def test_cone_basis_and_tangent_attempts_pinned():
