@@ -15,12 +15,10 @@ Every tree is measured in its own child process with PYTHONPATH set to
 its ``src`` directory, and the children of the trees alternate, round
 after round, so that a drift in the machine's speed reaches every tree
 alike.  The record keeps the median wall time of each workload over all
-rounds; ``--workload`` (repeatable) times only the named ones::
+rounds::
 
     python scripts/bench_simplex.py --tree parent=/path/to/parent/src \\
         --tree change=src --rounds 5 -o BENCH_simplex.json
-    python scripts/bench_simplex.py --tree parent=/path/to/parent/src \\
-        --tree change=src --workload cone_structure -o BENCH_cone.json
 
 Standard library only.
 """
@@ -46,8 +44,8 @@ WORKLOADS = {
 }
 
 
-def measure(names):
-    """The child: time each named workload REPEATS times in this process and
+def measure():
+    """The child: time each workload REPEATS times in this process and
     print {"W_lp": {n: [pivots, times]}, "components_n3": [[solves, pivots],
     times], "cone_structure": {n: [[dim_full, |U|], times]}}."""
     from bordersub import build_W, cone_stabilizer_structure, enumerate_maximal_components, nullcone_feasible
@@ -75,27 +73,23 @@ def measure(names):
             times.append(time.perf_counter() - start)
         return result, times
 
-    out = {}
-    if "W_lp" in names:
-        out["W_lp"] = {}
-        for n in W_NS:
-            _, times = timed(nullcone_feasible, build_W(n))
-            out["W_lp"][n] = [work[1], times]
-    if "components_n3" in names:
-        _, times = timed(enumerate_maximal_components, 3)
-        out["components_n3"] = [list(work), times]
-    if "cone_structure" in names:
-        out["cone_structure"] = {}
-        for n in CONE_NS:
-            rep, times = timed(cone_stabilizer_structure, n)
-            out["cone_structure"][n] = [[rep.dim_full, len(_unit_forced(n)[1])], times]
+    out = {"W_lp": {}, "cone_structure": {}}
+    for n in W_NS:
+        _, times = timed(nullcone_feasible, build_W(n))
+        out["W_lp"][n] = [work[1], times]
+    _, times = timed(enumerate_maximal_components, 3)
+    out["components_n3"] = [list(work), times]
+    for n in CONE_NS:
+        rep, times = timed(cone_stabilizer_structure, n)
+        out["cone_structure"][n] = [[rep.dim_full, len(_unit_forced(n)[1])], times]
     json.dump(out, sys.stdout)
 
 
-def run_child(src, names):
+def run_child(src):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    argv = [sys.executable, os.path.abspath(__file__), "--measure"] + [f"--workload={name}" for name in names]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--measure"], env=env, capture_output=True, text=True, check=True
+    )
     return json.loads(done.stdout)
 
 
@@ -108,20 +102,18 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC", help="a tree to time (repeatable)")
     ap.add_argument("--rounds", type=int, default=5, help="child processes per tree (default 5)")
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS), help="time only this one (repeatable)")
     ap.add_argument("-o", "--output", default="BENCH_simplex.json")
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    names = [name for name in WORKLOADS if name in (args.workload or WORKLOADS)]
     if args.measure:
-        return measure(names)
+        return measure()
     trees = dict(t.split("=", 1) for t in args.tree) or {"src": "src"}
     runs = {label: [] for label in trees}
     for _ in range(args.rounds):
         for label, src in trees.items():
-            runs[label].append(run_child(src, names))
+            runs[label].append(run_child(src))
     record = {
-        "workloads": {name: WORKLOADS[name] for name in names},
+        "workloads": WORKLOADS,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "rounds": args.rounds,
@@ -129,30 +121,25 @@ def main(argv=None):
         "trees": {},
     }
     for label, children in runs.items():
-        first, tree = children[0], {}
-        if "W_lp" in names:
-            tree["W_lp"] = {
-                n: {"pivots": pivots, "median_ms": median_ms([c["W_lp"][n] for c in children])}
-                for n, (pivots, _) in first["W_lp"].items()
-            }
-        if "components_n3" in names:
-            cells = [c["components_n3"] for c in children]
-            tree["components_n3"] = {"work": first["components_n3"][0], "median_ms": median_ms(cells)}
-        if "cone_structure" in names:
-            tree["cone_structure"] = {
-                n: {"dim_full": dim, "U": forced, "median_ms": median_ms([c["cone_structure"][n] for c in children])}
-                for n, ((dim, forced), _) in first["cone_structure"].items()
-            }
-        record["trees"][label] = tree
+        first = children[0]
+        w = {
+            n: {"pivots": pivots, "median_ms": median_ms([c["W_lp"][n] for c in children])}
+            for n, (pivots, _) in first["W_lp"].items()
+        }
+        comp = {"work": first["components_n3"][0], "median_ms": median_ms([c["components_n3"] for c in children])}
+        cone = {
+            n: {"dim_full": dim, "U": forced, "median_ms": median_ms([c["cone_structure"][n] for c in children])}
+            for n, ((dim, forced), _) in first["cone_structure"].items()
+        }
+        record["trees"][label] = {"W_lp": w, "components_n3": comp, "cone_structure": cone}
     with open(args.output, "w") as f:
         json.dump(record, f, indent=2)
         f.write("\n")
     for label, tree in record["trees"].items():
-        cells = [f"W({n}) {v['pivots']} piv {v['median_ms']} ms" for n, v in tree.get("W_lp", {}).items()]
-        if "components_n3" in tree:
-            comp = tree["components_n3"]
-            cells.append(f"components(3) {comp['work']} {comp['median_ms']} ms")
-        cells += [f"cone({n}) {v['dim_full']}/{v['U']} {v['median_ms']} ms" for n, v in tree.get("cone_structure", {}).items()]
+        cells = [f"W({n}) {v['pivots']} piv {v['median_ms']} ms" for n, v in tree["W_lp"].items()]
+        comp = tree["components_n3"]
+        cells.append(f"components(3) {comp['work']} {comp['median_ms']} ms")
+        cells += [f"cone({n}) {v['dim_full']}/{v['U']} {v['median_ms']} ms" for n, v in tree["cone_structure"].items()]
         print(f"{label}: {'; '.join(cells)}")
 
 

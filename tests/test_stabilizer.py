@@ -383,28 +383,9 @@ def test_cone_condition_split():
         full = [form for per_generator in _full_cone_forms(n) for form in per_generator]
         assert [lt.flat() for lt in cone_stabilizer_structure(n).basis] == kernel_int(full, 3 * n * n)
         assert cone_stabilizer_dim(n) == 3 * n * n - rank_int(full) - 2
-
-
-def test_cone_kernel_matches_the_elimination():
-    from bordersub.linalg import kernel_int
-    from bordersub.stabilizer import _cone_forms
-
+    # the closed-form basis is kernel_int's, the elimination staying the oracle
     for n in range(1, 13):
         assert cone_stabilizer_structure(n).kernel == tuple(map(tuple, kernel_int(_cone_forms(n), 3 * n * n)))
-
-
-def test_cone_structure_runs_no_elimination(monkeypatch):
-    import bordersub.linalg as la
-    import bordersub.stabilizer as st
-
-    def refuse(*args):
-        raise AssertionError("an elimination ran")
-
-    for module, name in ((st, "rank_int"), (st, "kernel_int"), (la, "echelon_rows"), (la, "_peel")):
-        monkeypatch.setattr(module, name, refuse)
-    for n in range(1, 9):
-        rep = cone_stabilizer_structure(n)
-        assert rep.dim_full == (3 * n * n + n + 2) // 2 and rep.passes
 
 
 def test_cone_kernel_recheck_fires(monkeypatch):
@@ -447,8 +428,9 @@ def test_closed_forms_above_n8():
 
 
 def test_cone_and_tangent_counts_run_no_elimination(monkeypatch):
-    # both counts are read off the lemma's U; _unit_forced still checks H1
-    # and H2, and the general path stays the tests' oracle
+    # both counts and the cone basis are read off the lemma's U;
+    # _unit_forced still checks H1 and H2, and the general path stays the
+    # tests' oracle
     import bordersub.linalg as la
     import bordersub.stabilizer as st
 
@@ -460,6 +442,8 @@ def test_cone_and_tangent_counts_run_no_elimination(monkeypatch):
     for n in range(1, 13):
         assert cone_stabilizer_dim(n) == (3 * n * n + n - 2) // 2
         assert orbit_cone_tangent_dim(n, 0).value == (2 * n**3 + 3 * n**2 - 2 * n - 3) // 3
+        rep = cone_stabilizer_structure(n)
+        assert rep.dim_full == (3 * n * n + n + 2) // 2 and rep.passes
 
 
 def test_reproduce_tangent_checks_n5():
