@@ -5,11 +5,12 @@ cone stabilizer's checked basis, and write the results to a JSON record
 The workloads are the W(n) nullcone LP, ``nullcone_feasible(build_W(n))``
 for n = 4..8, the n = 3 component enumeration,
 ``enumerate_maximal_components(3)``, and the cone stabilizer's structure
-report, ``cone_stabilizer_structure(n)`` for n = 4..8.  Each comes with its
-deterministic work counters, so that a record compares across machines:
-the pivots of the W(n) LP and the [solves, pivots] of the enumeration, read
-off ``simplex.Dictionary``, and the basis size dim_full and the number |U|
-of unknowns the weight lemma forces to zero for the cone.
+report, ``cone_stabilizer_structure(n)`` for n = 4..8, 16 and 30.  Each
+comes with its deterministic work counters, so that a record compares
+across machines: the pivots of the W(n) LP and the [solves, pivots] of the
+enumeration, read off ``simplex.Dictionary``, and the basis size dim_full
+and the number |U| of unknowns the weight lemma forces to zero for the
+cone.
 
 Every tree is measured in its own child process with PYTHONPATH set to
 its ``src`` directory, and the children of the trees alternate, round
@@ -35,7 +36,7 @@ import sys
 import time
 
 W_NS = range(4, 9)
-CONE_NS = range(4, 9)
+CONE_NS = (*range(4, 9), 16, 30)
 REPEATS = 3  # timed repeats of each workload per child
 WORKLOADS = {
     "W_lp": "nullcone_feasible(build_W(n)): pivots and median wall ms",

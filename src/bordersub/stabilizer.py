@@ -257,9 +257,9 @@ def _cone_forms(n):
 
 
 def _cone_kernel(n):
-    """The canonical kernel basis of ``_cone_forms(n)`` as tuples, in closed
-    form and re-checked against the forms (module docstring); U is read
-    off the one-term forms.  InternalError if a check fails."""
+    """The canonical kernel basis of ``_cone_forms(n)`` as sorted (position,
+    value) pairs, in closed form and re-checked against the forms (module
+    docstring); U is read off the one-term forms.  InternalError if a check fails."""
     nn = n * n
     forms = _cone_forms(n)
     x_diag = range(0, nn - 1, n + 1)  # x_ii, i < n: the trace rows' pivots
@@ -276,10 +276,7 @@ def _cone_kernel(n):
         reduced = max(v) == f and v[min(v)] == 1 and pivots.issuperset(v.keys() - {f})
         if not reduced or any(sum(a * forms[r].get(c, 0) for c, a in v.items()) for r in touched):
             raise InternalError(f"the cone kernel vector of column {f} fails its re-check")
-        vec = [0] * (3 * nn)
-        for c, a in v.items():
-            vec[c] = a
-        vecs.append(tuple(vec))
+        vecs.append(tuple(sorted(v.items())))
     if len(vecs) != 3 * nn - len(forms) or len({max(form) for form in forms}) != len(forms):
         raise InternalError(f"{len(vecs)} cone kernel vectors for {len(forms)} forms over {3 * nn} unknowns")
     return tuple(vecs)
@@ -298,7 +295,7 @@ class StructureReport:
     n: int
     dim_full: int
     dim_quotient: int
-    kernel: tuple[tuple[int, ...], ...]  # the basis as integer vectors, in LieTriple.flat order
+    kernel: tuple[tuple[tuple[int, int], ...], ...]  # the basis as sorted (LieTriple.flat position, value) pairs
     triangular_ok: bool
     trace_ok: bool
     violations: tuple[str, ...]
@@ -309,8 +306,9 @@ class StructureReport:
 
     @cached_property
     def basis(self) -> tuple[LieTriple, ...]:
-        """The kernel vectors as LieTriples, built when first read."""
-        return tuple(LieTriple.from_flat(self.n, v) for v in self.kernel)
+        """The kernel vectors as LieTriples, expanded when first read."""
+        dense = lambda v: [v.get(c, 0) for c in range(3 * self.n * self.n)]
+        return tuple(LieTriple.from_flat(self.n, dense(dict(pairs))) for pairs in self.kernel)
 
     def to_json(self):
         return {
@@ -328,21 +326,23 @@ def cone_stabilizer_structure(n) -> StructureReport:
     """Canonical basis of the cone stabilizer plus the structural checks:
     x lower-triangular, y and z upper-triangular, and the diagonal sums
     x_ss + y_ss + z_ss constant across s for every basis element, read off
-    the integer kernel vectors (x, y, z row-major, as in LieTriple.flat),
-    which ``_cone_kernel`` reads off U and re-checks (module docstring)."""
+    the sparse (position, value) pairs that ``_cone_kernel`` builds."""
     nn = check_n(n) * n
     vecs = _cone_kernel(n)
-    above = [c for c in range(nn) if c % n > c // n]  # x_pq must vanish for q > p, y_pq and z_pq for q < p
-    below = [c for c in range(nn) if c % n < c // n]
     violations = []
     triangular_ok = trace_ok = True
     for b_idx, v in enumerate(vecs):
-        bad = [(c, "x", "above") for c in above if v[c]]
-        bad += [(c, "y/z", "below") for c in below if v[nn + c] or v[2 * nn + c]]
+        sums = dict.fromkeys(range(0, nn, n + 1), 0)  # x_ss + y_ss + z_ss by diagonal position
+        bad = set()  # x_pq must vanish for q > p, y_pq and z_pq for q < p
+        for c, a in v:
+            if c % nn in sums:
+                sums[c % nn] += a
+            elif (c % n > c % nn // n) == (c < nn):
+                bad.add((c % nn, "x", "above") if c < nn else (c % nn, "y/z", "below"))
         for c, m, side in sorted(bad):
             violations.append(f"basis[{b_idx}]: {m}[{c // n + 1}][{c % n + 1}] nonzero {side} diagonal")
         triangular_ok = triangular_ok and not bad
-        if len({v[d] + v[nn + d] + v[2 * nn + d] for d in range(0, nn, n + 1)}) > 1:
+        if len(set(sums.values())) > 1:
             violations.append(f"basis[{b_idx}]: diagonal sums not constant")
             trace_ok = False
     return StructureReport(

@@ -114,5 +114,5 @@ def test_structure_report_builds_its_basis_on_request(monkeypatch):
         rep = bs.cone_stabilizer_structure(5)
         assert rep.to_json()["basis_size"] == rep.dim_full == (3 * 25 + 5 - 2) // 2 + 2
     assert rep == bs.cone_stabilizer_structure(5) and hash(rep) == hash(bs.cone_stabilizer_structure(5))
-    assert [lt.flat() for lt in rep.basis] == [list(v) for v in rep.kernel]
+    assert [tuple((c, a) for c, a in enumerate(lt.flat()) if a) for lt in rep.basis] == list(rep.kernel)
     assert rep.basis is rep.basis

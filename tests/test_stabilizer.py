@@ -306,18 +306,19 @@ def test_unit_forced_matches_general_path_on_smaller_supports(monkeypatch):
 
 
 def test_cone_structure_reports_planted_violations(monkeypatch):
-    # n = 2 vectors over (x, y, z) row-major: a clean one, one with a
-    # non-constant diagonal sum only, and one with x[1][2] and z[2][1] set
+    # n = 2 vectors as (position, value) pairs over (x, y, z) row-major: a
+    # clean one, one with a non-constant diagonal sum only, and one with
+    # x[1][2] and z[2][1] set
     import bordersub.stabilizer as st
 
-    clean = [1, 0, 0, 1] + [0] * 8
-    trace = [2, 0, 0, 1] + [0] * 8
-    shape = [0, 1, 0, 0] + [0] * 4 + [0, 0, 1, 0]
-    monkeypatch.setattr(st, "_cone_kernel", lambda n: (tuple(clean), tuple(trace)))
+    clean = ((0, 1), (3, 1))
+    trace = ((0, 2), (3, 1))
+    shape = ((1, 1), (10, 1))
+    monkeypatch.setattr(st, "_cone_kernel", lambda n: (clean, trace))
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == ("basis[1]: diagonal sums not constant",)
     assert (rep.triangular_ok, rep.trace_ok, rep.passes) == (True, False, False)
-    monkeypatch.setattr(st, "_cone_kernel", lambda n: (tuple(shape), tuple(clean)))
+    monkeypatch.setattr(st, "_cone_kernel", lambda n: (shape, clean))
     rep = st.cone_stabilizer_structure(2)
     assert rep.violations == (
         "basis[0]: x[1][2] nonzero above diagonal",
@@ -385,7 +386,20 @@ def test_cone_condition_split():
         assert cone_stabilizer_dim(n) == 3 * n * n - rank_int(full) - 2
     # the closed-form basis is kernel_int's, the elimination staying the oracle
     for n in range(1, 13):
-        assert cone_stabilizer_structure(n).kernel == tuple(map(tuple, kernel_int(_cone_forms(n), 3 * n * n)))
+        want = tuple(tuple((c, a) for c, a in enumerate(v) if a) for v in kernel_int(_cone_forms(n), 3 * n * n))
+        assert cone_stabilizer_structure(n).kernel == want
+
+
+def test_cone_kernel_is_sparse():
+    # each vector is e_f (1 pair), x_ii - y_ii or x_ii - z_ii (2 pairs, the
+    # 2(n - 1) diagonal differences) or x_11 + ... + x_(n-1)(n-1) plus
+    # x_nn, y_nn or z_nn (n pairs), so the pairs total dim_full + 5(n - 1)
+    for n in range(1, 41):
+        rep = cone_stabilizer_structure(n)
+        for v in rep.kernel:
+            positions = [c for c, _ in v]
+            assert positions == sorted(set(positions)) and all(a for _, a in v) and len(v) <= n
+        assert sum(map(len, rep.kernel)) == rep.dim_full + 5 * (n - 1)
 
 
 def test_cone_kernel_recheck_fires(monkeypatch):
