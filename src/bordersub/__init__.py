@@ -3,12 +3,12 @@ tensors: nullcone feasibility with integer cocharacter certificates,
 invariant-monomial obstructions, Lie-algebra stabilizer and orbit dimension
 counts, unit-orbit membership, and tight supports.
 
-All arithmetic is exact.  The API is rational (Tensor3, LieTriple and
-SliceFamily hold fractions.Fraction values); every kernel below it works
-on integers, and tensors.integer_entries is the one place a tensor's
-denominators are cleared.  Every rank and kernel comes from one structured
-elimination on sparse integer rows, in bordersub.linalg.  Every verdict is
-a checkable certificate or a reproducible dimension count.
+All arithmetic is exact.  The API is rational (Tensor3 and LieTriple hold
+fractions.Fraction values); every kernel below it works on integers, and
+tensors.integer_entries is the one place a tensor's denominators are
+cleared.  Every rank and kernel comes from one structured elimination on
+sparse integer rows, in bordersub.linalg.  Every verdict is a checkable
+certificate or a reproducible dimension count.
 """
 
 from .errors import (
@@ -36,11 +36,8 @@ from .nullcone import (
 )
 from .orbit import (
     OrbitVerdict,
-    SliceFamily,
     apply_gl,
     is_concise,
-    slices_along_a,
-    slices_along_b,
     unit_orbit_member,
 )
 from .stabilizer import (
@@ -100,8 +97,7 @@ __all__ = [
     "invariant_monomials_within", "is_torus_invariant",
     "ComponentEnumeration", "FeasibilityOutcome", "enumerate_maximal_components",
     "is_maximal_nullcone_support", "nullcone_feasible",
-    "OrbitVerdict", "SliceFamily", "apply_gl", "is_concise", "slices_along_a", "slices_along_b",
-    "unit_orbit_member",
+    "OrbitVerdict", "apply_gl", "is_concise", "unit_orbit_member",
     "LieTriple", "StructureReport", "TangentReport", "act", "cone_stabilizer_dim",
     "cone_stabilizer_structure", "orbit_cone_tangent_dim", "orbit_dim_unit", "qmax_dimension_bound",
     "stabilizer_basis", "stabilizer_dim",

@@ -102,11 +102,8 @@ def _as_table(payload, indent=0):
         else:
             lines.append(f"{pad}{key}: {json.dumps(value, sort_keys=True)}")
 
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            emit(key, payload[key])
-    else:
-        lines.append(f"{pad}{payload}")
+    for key in sorted(payload):
+        emit(key, payload[key])
     return "\n".join(lines) + "\n"
 
 

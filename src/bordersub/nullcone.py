@@ -69,8 +69,18 @@ reused rests on a certificate checked in exact integers:
   a copy of its dictionary first takes those rows and is solved, and
   becomes the node's; the question is then a further copy with the one
   row of c added, and its Farkas core is read off y over that copy's
-  rows.  A child starts from its parent's dictionary.  The maximality
-  check at a leaf asks about ins alone, so it starts from the root's.
+  rows.  A child starts from its parent's dictionary;
+* a leaf that passes the domination test is maximal, so no LP re-checks
+  it.  The search meets complete in/out vectors in decreasing order: two
+  leaves part at a node that branches on its least undecided triple,
+  every smaller one decided alike, and takes it in first.  Forced
+  decisions keep every maximal support consistent with the node (its
+  certificate is a solution there), and domination cuts a node only when
+  its candidate pool lies in a recorded component, the one maximal
+  support it could complete to.  So if a leaf S is a proper subset of a
+  maximal M, the leader L of M's orbit has L >= M > S and is never cut
+  by the lex-leader rule: L was recorded, with its whole orbit, before S
+  is met, and ``holding(ins) & recorded`` cuts S.
 """
 
 from __future__ import annotations
@@ -319,7 +329,7 @@ def _enumerate(n, universe):
         outs, or 0 if infeasible.  (ins, outs) is feasible, so a core that
         applies contains c.  No known P is looked up: a node's mask is all
         known P satisfying (ins, outs), and c is asked about only when none
-        takes the asked side; at a leaf the LP answers either way."""
+        takes the asked side."""
         if inside:
             ins = ins | {c}
         else:
@@ -375,12 +385,6 @@ def _enumerate(n, universe):
         if _not_leader({t: True if t in ins else False if t in outs else None for t in universe}, table):
             return
         if not undecided:
-            empty = frozenset()
-            # the rows of ins alone, as the node's dictionary holds outs too
-            only_ins = [root, [], [(t, True) for t in sorted(ins)]]
-            for t in universe:
-                if t not in ins and extend(ins, empty, t, True, only_ins):
-                    return  # feasible but not maximal
             record(ins, known[(mask & -mask).bit_length() - 1][1])  # that P is ins
             return
         c = undecided[0]

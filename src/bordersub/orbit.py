@@ -44,51 +44,21 @@ from itertools import chain, combinations, product
 from math import gcd
 from operator import mul
 
-from .errors import DimensionMismatchError, InvalidValueError
+from .errors import DimensionMismatchError
 from .linalg import rank_int
-from .tensors import NONZERO_SMALL, Tensor3, check_n, integer_entries, rational
+from .tensors import NONZERO_SMALL, Tensor3, integer_entries, rational
 
 #: seeded random slice combinations tried after the basis slices
 SLICE_COMBO_ATTEMPTS = 5
 
 
-@dataclass(frozen=True)
-class SliceFamily:
-    """The n matrices obtained by contracting the first (or second) slot."""
-
-    n: int
-    slices: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def __post_init__(self):
-        if len(self.slices) != check_n(self.n) or any(
-            len(s) != self.n or any(len(row) != self.n for row in s) for s in self.slices
-        ):
-            raise InvalidValueError("need n slices of size n x n")
-
-
-def _slice_matrices(n, entries, slot, zero=0):
-    """The n matrices of the entries {triple: value} with the index in
-    `slot` fixed, indexed by the other two indices in order."""
-    mats = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for idx, c in entries.items():
-        j, k = (v - 1 for s, v in enumerate(idx) if s != slot)
-        mats[idx[slot] - 1][j][k] = c
+def _slice_matrices(n, entries):
+    """The first-slot slices of the entries {triple: value}: S_i[j][k] is
+    the value at (i, j, k)."""
+    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in entries.items():
+        mats[i - 1][j - 1][k - 1] = c
     return mats
-
-
-def _slices(T: Tensor3, slot) -> SliceFamily:
-    mats = _slice_matrices(T.n, T.entries, slot, Fraction(0))
-    return SliceFamily(T.n, tuple(tuple(tuple(row) for row in m) for m in mats))
-
-
-def slices_along_a(T: Tensor3) -> SliceFamily:
-    """S_i[j][k] = T_{ijk}."""
-    return _slices(T, 0)
-
-
-def slices_along_b(T: Tensor3) -> SliceFamily:
-    """S_j[i][k] = T_{ijk}."""
-    return _slices(T, 1)
 
 
 def is_concise(T: Tensor3) -> bool:
@@ -179,7 +149,7 @@ class OrbitVerdict:
         return out
 
 
-def _invertible_combo(slices, seed, side):
+def _invertible_combo(slices, seed):
     """The first linear combination of the integer slices with a nonzero
     determinant, or None when the slices span only singular matrices.
 
@@ -193,7 +163,7 @@ def _invertible_combo(slices, seed, side):
     for s in slices:
         if _bareiss(s):
             return s
-    rng = random.Random(f"bordersub:unit-orbit:{seed}:{side}")
+    rng = random.Random(f"bordersub:unit-orbit:{seed}:A")
     seeded = ([rng.choice(NONZERO_SMALL) for _ in range(n)] for _ in range(SLICE_COMBO_ATTEMPTS))
     grid = ((1,) + rest for rest in product(range(n + 1), repeat=n - 1))
     entries = [[[s[i][j] for s in slices] for j in range(n)] for i in range(n)]
@@ -204,34 +174,28 @@ def _invertible_combo(slices, seed, side):
     return None
 
 
-def _side_verdict(T: Tensor3, seed, side):
-    """The slice test on the slices of T along `side` ("A" or "B")."""
-    slices = _slice_matrices(T.n, integer_entries(T), "AB".index(side))
-    combo = _invertible_combo(slices, seed, side)
-    if combo is None:
-        return OrbitVerdict("non_member", "slices span only singular matrices (grid of (n+1)^(n-1) points)", side)
-    adj = _bareiss(combo, adjugate=True)
-    mats = [_mul(s, adj) for s in slices]  # det(combo) times the normalized slices
-    for i, j in combinations(range(len(mats)), 2):
-        if _mul(mats[i], mats[j]) != _mul(mats[j], mats[i]):
-            return OrbitVerdict("non_member", f"slices {i + 1} and {j + 1} do not commute after normalization", side)
-    for i, m in enumerate(mats):
-        if not _is_diagonalizable(m):
-            reason = f"normalized slice {i + 1} is not diagonalizable (repeated minimal-polynomial root)"
-            return OrbitVerdict("non_member", reason, side)
-    return OrbitVerdict("member", side=side)
-
-
 def unit_orbit_member(T: Tensor3, seed) -> OrbitVerdict:
     """Decide T in GL x GL x GL . (unit tensor), exactly.
 
     Order of business: conciseness (necessary), then the slice test on the
-    first-slot family; the module docstring shows why the second-slot family
-    would always agree."""
+    first-slot family, whose non-member verdicts name side "A"; the module
+    docstring shows why the second-slot family would always agree."""
     if not is_concise(T):
         return OrbitVerdict("non_member", reason="not concise: some flattening has rank < n")
-    v = _side_verdict(T, seed, "A")
-    return OrbitVerdict("member") if v.verdict == "member" else v
+    slices = _slice_matrices(T.n, integer_entries(T))
+    combo = _invertible_combo(slices, seed)
+    if combo is None:
+        return OrbitVerdict("non_member", "slices span only singular matrices (grid of (n+1)^(n-1) points)", "A")
+    adj = _bareiss(combo, adjugate=True)
+    mats = [_mul(s, adj) for s in slices]  # det(combo) times the normalized slices
+    for i, j in combinations(range(len(mats)), 2):
+        if _mul(mats[i], mats[j]) != _mul(mats[j], mats[i]):
+            return OrbitVerdict("non_member", f"slices {i + 1} and {j + 1} do not commute after normalization", "A")
+    for i, m in enumerate(mats):
+        if not _is_diagonalizable(m):
+            reason = f"normalized slice {i + 1} is not diagonalizable (repeated minimal-polynomial root)"
+            return OrbitVerdict("non_member", reason, "A")
+    return OrbitVerdict("member")
 
 
 def random_invertible(n, rng):

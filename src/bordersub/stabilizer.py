@@ -367,14 +367,6 @@ class TangentReport:
     def ok(self):
         return self.value == self.expected
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "value": self.value,
-            "expected": self.expected,
-            "attempts": [{"seed": s, "value": v} for s, v in self.attempts],
-        }
-
 
 def orbit_cone_tangent_dim(n, seed) -> TangentReport:
     """Projective dimension of the tangent space, at a point unit + w (w on

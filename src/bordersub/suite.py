@@ -197,7 +197,7 @@ def check_duality(n):
     for S in supports:
         total += 1
         feasible = nullcone_feasible(S).feasible
-        obstructed = has_invariant_monomial_within(S, cap) if len(S) else False
+        obstructed = has_invariant_monomial_within(S, cap)
         if feasible != (not obstructed):
             mismatches.append(tuple(S.sorted_triples()))
     return [(label, not mismatches, f"{total} supports, {len(mismatches)} mismatches")]

@@ -36,7 +36,6 @@ TAKES_N = {
     "cone_stabilizer_structure": bs.cone_stabilizer_structure,
     "orbit_cone_tangent_dim": lambda n: bs.orbit_cone_tangent_dim(n, 0),
     "qmax_dimension_bound": bs.qmax_dimension_bound,
-    "SliceFamily": lambda n: bs.SliceFamily(n, (((0,),),)),
     "TightWitness": lambda n: bs.TightWitness(n, (0,), (0,), (0,)),
 }
 

@@ -128,6 +128,11 @@ def test_existence_matches_listing():
     for _ in range(40):
         S = Support.of(3, rng.sample(cube, rng.randint(1, 8)))
         assert has_invariant_monomial_within(S, 4) == bool(invariant_monomials_within(S, 4))
+    # the empty support has no nonempty multiset of triples
+    for n in (1, 2, 3):
+        empty = Support.of(n, [])
+        assert has_invariant_monomial_within(empty, 3 * n) is False
+        assert invariant_monomials_within(empty, 3 * n) == []
 
 
 def test_monomial_json_round_trip():

@@ -361,7 +361,8 @@ def test_lp_work_pinned(monkeypatch):
     # counts, from the start or from a kept dictionary, and so does every
     # pivot: solving each LP from the start took 153 solves and 3,483
     # pivots at n = 3, and 218, 188, 185, 193, 247, 5 and 8 pivots for the
-    # maximality checks
+    # maximality checks; re-checking each leaf's maximality with an LP per
+    # triple outside it took 260 solves and 716 pivots
     work = [0, 0]
     real = Dictionary.solve
 
@@ -375,13 +376,26 @@ def test_lp_work_pinned(monkeypatch):
     monkeypatch.setattr(Dictionary, "solve", counted)
     enum = enumerate_maximal_components(3)
     assert len(enum.components) == 126
-    assert work == [260, 716]
+    assert work == [256, 683]
     counts = []
     for S in named_supports() + [Support.of(2, [(2, 1, 1)]), Support.of(3, [])]:
         work[:] = [0, 0]
         is_maximal_nullcone_support(S)
         counts.append(tuple(work))
     assert counts == [(12, 27), (12, 24), (12, 23), (12, 23), (13, 24), (4, 3), (9, 8)]
+
+
+def test_record_runs_once_per_orbit(monkeypatch):
+    # a leaf that passes the domination test is maximal, and only an orbit's
+    # leader passes the lex-leader test, so each orbit is recorded once
+    calls = []
+    real = nullcone._images
+    monkeypatch.setattr(nullcone, "_images", lambda *args: calls.append(args) or real(*args))
+    for n, orbits in ((2, 1), (3, 4)):
+        calls.clear()
+        comps = enumerate_maximal_components(n).components
+        assert len(calls) == orbits
+        assert len({min(tuple(g.on_support(S).sorted_triples()) for g in Symmetry.all(n)) for S in comps}) == orbits
 
 
 def test_certificates_on_general_supports_pinned():

@@ -101,6 +101,8 @@ def test_act_additive_in_algebra_and_tensor():
         T, U = random_tensor(2, rng), random_tensor(2, rng)
         assert act(a + b, T) == act(a, T) + act(b, T)
         assert act(a, T + U) == act(a, T) + act(a, U)
+        for c in (0, Fraction(-7, 3)):
+            assert act(a.scale(c), T) == act(a, T).scale(c) == act(a, T.scale(c))
 
 
 def test_stabilizer_dim_unit():

@@ -12,8 +12,8 @@ import bordersub
 PUBLIC_NAMES = [
     "BordersubError", "CapExceededError", "CertificateVerdict", "ComponentEnumeration",
     "DimensionMismatchError", "FeasibilityOutcome", "InternalError", "InvalidValueError",
-    "LieTriple", "Monomial", "OrbitVerdict", "PreconditionError", "SliceFamily",
-    "StructureReport", "Support", "Symmetry", "TangentReport", "Tensor3", "TightWitness", "TorusWeight",
+    "LieTriple", "Monomial", "OrbitVerdict", "PreconditionError", "StructureReport",
+    "Support", "Symmetry", "TangentReport", "Tensor3", "TightWitness", "TorusWeight",
     "act", "apply_gl", "backend_name", "binary_cocharacter", "build_W",
     "build_tight_U", "check_degeneration_certificate", "check_tight_witness",
     "cone_stabilizer_dim", "cone_stabilizer_structure", "diagonal_support",
@@ -22,8 +22,8 @@ PUBLIC_NAMES = [
     "invariant_monomials_within", "is_concise", "is_maximal_nullcone_support",
     "is_torus_invariant", "nullcone_feasible", "orbit_cone_tangent_dim", "orbit_dim_unit",
     "positive_support", "qmax_dimension_bound", "sample_coefficients", "sample_support",
-    "slices_along_a", "slices_along_b", "stabilizer_basis", "stabilizer_dim",
-    "tensor_from_support", "unit_orbit_member", "unit_tensor", "weight_of",
+    "stabilizer_basis", "stabilizer_dim", "tensor_from_support", "unit_orbit_member",
+    "unit_tensor", "weight_of",
 ]
 
 
