@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, islice
 
 from . import backend_name
 from .errors import BordersubError, InternalError, InvalidValueError
@@ -40,7 +41,6 @@ from .tensors import (
     build_tight_U,
     build_W,
     diagonal_support,
-    dumps_json,
     sample_coefficients,
     tensor_from_support,
     unit_tensor,
@@ -73,15 +73,19 @@ def _load_json(path):
 
 
 def _write_output(args, payload):
-    text = dumps_json(payload) if args.format == "json" else _as_table(payload)
+    """Write payload to --output or stdout as stable JSON or a table.  The
+    JSON encoder's chunks go out 65,536 a write, never as one string."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    chunks = chain(encoder.iterencode(payload), ["\n"]) if args.format == "json" else iter([_as_table(payload)])
+    batches = ("".join(batch) for batch in iter(lambda: list(islice(chunks, 65536)), []))
     if getattr(args, "output", None):
         try:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                fh.writelines(batches)
         except OSError as exc:
             raise InvalidValueError(f"cannot write {args.output}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(batches)
 
 
 def _as_table(payload, indent=0):

@@ -32,11 +32,12 @@ reused rests on a certificate checked in exact integers:
 
 * known supports: the positive support P of every verified certificate
   the search meets (each feasible LP answer and each recorded component)
-  is kept in one index, where each triple has a bitmask of the P holding
-  it.  The P with ins within P and outs outside P are an AND over ins and
-  an AND-NOT over outs; each is a certificate of that node.  "Can c
-  join?" is yes when one of them holds c, and "can c stay out?" when one
-  misses c; a triple held both ways stays undecided with no LP.  A forced
+  is one bit of an index, each triple a bitmask of the P holding it, and
+  P's certificate is kept by bit; only components keep P as a set.  The
+  P with ins within P and outs outside P are an AND over ins and an
+  AND-NOT over outs; each is a certificate of that node.  "Can c join?"
+  is yes when one of them holds c, and "can c stay out?" when one misses
+  c; a triple held both ways stays undecided with no LP.  A forced
   triple lands on the side every solution takes, so the node's set stays
   valid through propagation.  The components among the P prune by
   domination, an AND over the candidate pool;
@@ -288,24 +289,25 @@ class ComponentEnumeration:
 
 def _enumerate(n, universe):
     """The maximal feasible supports over universe, as frozensets."""
-    known = []  # (positive support P, verified certificate): each feasible LP answer and recorded image
+    certs = []  # bit i -> verified certificate of the known P with bit i: each feasible LP answer and recorded image
     holders = dict.fromkeys(universe, 0)  # triple t -> bitmask of the known P that hold t
     recorded = 0  # bitmask of the known P that are components
+    components = []  # the recorded P, as sets
     in_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in I
     out_cores = defaultdict(list)  # triple t -> Farkas cores (I, O) with t in O
     table = [(g, {t: g._image(t) for t in universe}) for g in Symmetry.all(n)]  # the identity first
 
     def learn(P, cert):
-        """Add (P, cert) to the index and return its bit."""
-        bit = 1 << len(known)
+        """Give P a bit in the index, keep cert at it and return the bit."""
+        bit = 1 << len(certs)
         for t in P:
             holders[t] |= bit
-        known.append((P, cert))
+        certs.append(cert)
         return bit
 
     def holding(ins, outs=()):
         """Bitmask of the known P that hold ins and miss outs."""
-        mask = (1 << len(known)) - 1
+        mask = (1 << len(certs)) - 1
         for t in ins:
             mask &= holders[t]
         for t in outs:
@@ -354,6 +356,7 @@ def _enumerate(n, universe):
             if _positive(moved, universe) != image:
                 raise InternalError(f"moved certificate does not certify the image {sorted(image)}")
             recorded |= learn(image, moved)
+            components.append(image)
 
     def dfs(ins, outs, undecided, node):
         # mask: the known P that satisfy (ins, outs), the node's certificates;
@@ -385,7 +388,7 @@ def _enumerate(n, universe):
         if _not_leader({t: True if t in ins else False if t in outs else None for t in universe}, table):
             return
         if not undecided:
-            record(ins, known[(mask & -mask).bit_length() - 1][1])  # that P is ins
+            record(ins, certs[(mask & -mask).bit_length() - 1])  # that P is ins
             return
         c = undecided[0]
         rest = undecided[1:]
@@ -397,7 +400,7 @@ def _enumerate(n, universe):
     zero, _ = _outcome(n, [], root.solve())
     learn(_positive(zero, universe), zero)
     dfs(frozenset(), frozenset(), tuple(universe), [root, [], []])
-    return [P for i, (P, _) in enumerate(known) if recorded >> i & 1]
+    return components
 
 
 def enumerate_maximal_components(n, best_effort=False) -> ComponentEnumeration:

@@ -46,7 +46,7 @@ from operator import mul
 
 from .errors import DimensionMismatchError
 from .linalg import rank_int
-from .tensors import NONZERO_SMALL, Tensor3, integer_entries, rational
+from .tensors import NONZERO_SMALL, Tensor3, integer_entries, rational, sample_coefficients, sample_support, tensor_from_support
 
 #: seeded random slice combinations tried after the basis slices
 SLICE_COMBO_ATTEMPTS = 5
@@ -211,8 +211,6 @@ def gl_invariance_probe(n, cases, seed):
     invertible triples g, unit_orbit_member(T) must equal
     unit_orbit_member(g . T).  Returns the list of disagreeing case indices
     (empty = pass)."""
-    from .tensors import sample_coefficients, sample_support, tensor_from_support
-
     bad = []
     for case in range(cases):
         rng = random.Random(f"bordersub:glprobe:{seed}:{case}")

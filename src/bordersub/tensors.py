@@ -30,7 +30,6 @@ with 2i = j + k, which sits inside W.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,8 +355,3 @@ def sample_support(n, seed, max_size) -> Support:
     cube = [t for t in product(range(1, n + 1), repeat=3)]
     size = rng.randint(1, min(max_size, len(cube)))
     return Support._made(n, rng.sample(cube, size))
-
-
-def dumps_json(obj) -> str:
-    """Stable serialization used by every CLI output and golden file."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -5,7 +5,6 @@ import pytest
 
 from bordersub import Support, Tensor3, build_W, nullcone, unit_tensor
 from bordersub.cli import main
-from bordersub.tensors import dumps_json
 
 # sha256 of repr((exit code, stdout, stderr)) of `reproduce --n-max 3`, as
 # printed before the simplex was narrowed to right-hand sides >= 0
@@ -24,7 +23,7 @@ def run(capsys, *argv):
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(dumps_json(payload))
+    path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -77,10 +76,25 @@ def test_nullcone_components_n2(tmp_path, capsys):
     assert len(report["outputs"]["components"]) == 6
 
 
-def test_nullcone_components_n3_pinned(capsys):
+def test_nullcone_components_n3_pinned(capsys, monkeypatch):
+    # the report is streamed: building it as one string would raise here
+    def whole(*args, **kwargs):
+        raise AssertionError("the report was encoded as one string")
+
+    monkeypatch.setattr(json, "dumps", whole)
+    monkeypatch.setattr(json.JSONEncoder, "encode", whole)
     code, out, _ = run(capsys, "nullcone", "components", "--n", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COMPONENTS_N3_STDOUT_DIGEST
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("argv", [("nullcone", "components", "--n", "2"), ("reproduce", "--n-max", "1")])
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert run(capsys, *argv, "--format", fmt, "-o", str(target))[:2] == (code, "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_nullcone_components_cap_refusal(capsys):
