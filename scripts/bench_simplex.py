@@ -3,12 +3,14 @@ cone stabilizer's checked basis, and write the results to a JSON record
 (default ``BENCH_simplex.json``).
 
 The workloads are the W(n) nullcone LP, ``nullcone_feasible(build_W(n))``
-for n = 4..8, the n = 3 component enumeration,
-``enumerate_maximal_components(3)``, and the cone stabilizer's structure
+for n = 4..8, the component enumeration at n = 3,
+``enumerate_maximal_components(3)``, and best-effort at n = 4, the same
+search at n = 4 over the slice of all-distinct triples,
+``nullcone._enumerate(4, slice)``, and the cone stabilizer's structure
 report, ``cone_stabilizer_structure(n)`` for n = 4..8, 16 and 30.  Each
 comes with its deterministic work counters, so that a record compares
-across machines: the pivots of the W(n) LP and the [solves, pivots] of the
-enumeration, read off ``simplex.Dictionary``, and the basis size dim_full
+across machines: the pivots of the W(n) LP and the [solves, pivots] of
+each search, read off ``simplex.Dictionary``, and the basis size dim_full
 and the number |U| of unknowns the weight lemma forces to zero for the
 cone.
 
@@ -38,9 +40,12 @@ import time
 W_NS = range(4, 9)
 CONE_NS = (*range(4, 9), 16, 30)
 REPEATS = 3  # timed repeats of each workload per child
+SEARCHES = ("components_n3", "components_n4", "slice_n4")  # the workloads timed with [solves, pivots]
 WORKLOADS = {
     "W_lp": "nullcone_feasible(build_W(n)): pivots and median wall ms",
     "components_n3": "enumerate_maximal_components(3): [solves, pivots] and median wall ms",
+    "components_n4": "enumerate_maximal_components(4, best_effort=True): [solves, pivots] and median wall ms",
+    "slice_n4": "nullcone._enumerate(4, all-distinct triples): [solves, pivots] and median wall ms",
     "cone_structure": "cone_stabilizer_structure(n): dim_full, |U| and median wall ms",
 }
 
@@ -48,8 +53,12 @@ WORKLOADS = {
 def measure():
     """The child: time each workload REPEATS times in this process and
     print {"W_lp": {n: [pivots, times]}, "components_n3": [[solves, pivots],
-    times], "cone_structure": {n: [[dim_full, |U|], times]}}."""
+    times], the same for "components_n4" and "slice_n4", "cone_structure":
+    {n: [[dim_full, |U|], times]}}."""
+    from itertools import product
+
     from bordersub import build_W, cone_stabilizer_structure, enumerate_maximal_components, nullcone_feasible
+    from bordersub.nullcone import _enumerate
     from bordersub.simplex import Dictionary
     from bordersub.stabilizer import _unit_forced
 
@@ -78,8 +87,13 @@ def measure():
     for n in W_NS:
         _, times = timed(nullcone_feasible, build_W(n))
         out["W_lp"][n] = [work[1], times]
-    _, times = timed(enumerate_maximal_components, 3)
-    out["components_n3"] = [list(work), times]
+    for name, fn, *args in (
+        ("components_n3", enumerate_maximal_components, 3),
+        ("components_n4", enumerate_maximal_components, 4, True),
+        ("slice_n4", _enumerate, 4, [t for t in product(range(1, 5), repeat=3) if len(set(t)) == 3]),
+    ):
+        _, times = timed(fn, *args)
+        out[name] = [list(work), times]
     for n in CONE_NS:
         rep, times = timed(cone_stabilizer_structure, n)
         out["cone_structure"][n] = [[rep.dim_full, len(_unit_forced(n)[1])], times]
@@ -127,19 +141,21 @@ def main(argv=None):
             n: {"pivots": pivots, "median_ms": median_ms([c["W_lp"][n] for c in children])}
             for n, (pivots, _) in first["W_lp"].items()
         }
-        comp = {"work": first["components_n3"][0], "median_ms": median_ms([c["components_n3"] for c in children])}
+        searches = {
+            name: {"work": first[name][0], "median_ms": median_ms([c[name] for c in children])}
+            for name in SEARCHES
+        }
         cone = {
             n: {"dim_full": dim, "U": forced, "median_ms": median_ms([c["cone_structure"][n] for c in children])}
             for n, ((dim, forced), _) in first["cone_structure"].items()
         }
-        record["trees"][label] = {"W_lp": w, "components_n3": comp, "cone_structure": cone}
+        record["trees"][label] = {"W_lp": w, **searches, "cone_structure": cone}
     with open(args.output, "w") as f:
         json.dump(record, f, indent=2)
         f.write("\n")
     for label, tree in record["trees"].items():
         cells = [f"W({n}) {v['pivots']} piv {v['median_ms']} ms" for n, v in tree["W_lp"].items()]
-        comp = tree["components_n3"]
-        cells.append(f"components(3) {comp['work']} {comp['median_ms']} ms")
+        cells += [f"{name} {tree[name]['work']} {tree[name]['median_ms']} ms" for name in SEARCHES]
         cells += [f"cone({n}) {v['dim_full']}/{v['U']} {v['median_ms']} ms" for n, v in tree["cone_structure"].items()]
         print(f"{label}: {'; '.join(cells)}")
 

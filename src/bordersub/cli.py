@@ -74,8 +74,9 @@ def _load_json(path):
 
 def _write_output(args, payload):
     """Write payload to --output or stdout as stable JSON or a table.  The
-    JSON encoder's chunks go out 65,536 a write, never as one string."""
-    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    JSON encoder's chunks go out 65,536 a write, never as one string; an
+    object in payload is encoded by its to_json() when the writer reaches it."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=lambda obj: obj.to_json())
     chunks = chain(encoder.iterencode(payload), ["\n"]) if args.format == "json" else iter([_as_table(payload)])
     batches = ("".join(batch) for batch in iter(lambda: list(islice(chunks, 65536)), []))
     if getattr(args, "output", None):
@@ -93,6 +94,8 @@ def _as_table(payload, indent=0):
     pad = "  " * indent
 
     def emit(key, value):
+        if isinstance(value, list):
+            value = [v.to_json() if hasattr(v, "to_json") else v for v in value]
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_as_table(value, indent + 1).rstrip("\n"))
@@ -172,7 +175,9 @@ def cmd_nullcone_maximal(args):
 
 def cmd_nullcone_components(args):
     enum = enumerate_maximal_components(args.n, best_effort=args.best_effort)
-    _write_output(args, _report("nullcone components", {"n": args.n}, enum.to_json()))
+    # enum.to_json() with each component left a Support until it is written
+    out = {"n": enum.n, "complete": enum.complete, "components": list(enum.components)}
+    _write_output(args, _report("nullcone components", {"n": args.n}, out))
     return OK
 
 

@@ -64,13 +64,25 @@ reused rests on a certificate checked in exact integers:
   node is cut.  Every leader is still reached, and recording it adds its
   whole orbit;
 * node dictionaries: an LP the search does run is not solved from the
-  artificial basis.  Each node keeps a solved, feasible phase-1
-  dictionary (``simplex.Dictionary``) of some of its rows, the root's
-  holding none, and the rows decided since.  When the node needs an LP,
-  a copy of its dictionary first takes those rows and is solved, and
-  becomes the node's; the question is then a further copy with the one
-  row of c added, and its Farkas core is read off y over that copy's
-  rows.  A child starts from its parent's dictionary;
+  artificial basis, and holds the branch rows on the node's DFS path
+  only.  Each node keeps a solved, feasible phase-1 dictionary
+  (``simplex.Dictionary``) of some of them, the root's holding none, and
+  the branch rows since.  When the node needs an LP, a copy of its
+  dictionary first takes those rows and is solved, and becomes the
+  node's; the question is then a further copy with the one row of c
+  added, and its Farkas core is read off y over that copy's rows.  A
+  child starts from its parent's dictionary;
+* a forced decision constrains no extension, so it adds no row.  Call
+  w a solution of (ins, outs) up to scale when w > 0 on ins and w <= 0
+  on outs; some k >= 1 makes kw a solution.  c is forced out when no
+  such w has w(c) > 0, and in when every one has (else a scaled w would
+  answer the question that forced c).  By induction along the path, the
+  branch rows have the solutions up to scale of all decided rows: a
+  branch adds its row to both, and a forced row holds at each of them
+  already.  So each question has the same answer, a core read over
+  fewer rows is still a core, and the primitive integer certificate
+  has weight >= 1 on every decided "in" and <= 0 on every "out";
+  ``extend`` re-checks that before it learns the certificate;
 * a leaf that passes the domination test is maximal, so no LP re-checks
   it.  The search meets complete in/out vectors in decreasing order: two
   leaves part at a node that branches on its least undecided triple,
@@ -315,16 +327,19 @@ def _enumerate(n, universe):
         return mask
 
     def solve(node, row):
-        """The outcome of node's system plus row.  node is [dictionary,
-        its rows, rows decided since it was solved]; the dictionary is
-        brought up to date first, so later questions at the node reuse it."""
+        """The outcome of node's system plus row, its certificate unchecked.
+        node is [dictionary, its rows, branch rows since it was solved]; the
+        dictionary is brought up to date first, so later questions reuse it."""
         lp, rows, todo = node
         if todo:
             lp, rows = _extended(n, lp, rows, todo)
             lp.solve()
             node[:] = lp, rows, []
         lp, rows = _extended(n, lp, rows, [row])
-        return _outcome(n, rows, lp.solve())
+        result = lp.solve()
+        if result[0] is None:
+            return _outcome(n, rows, result)
+        return _certificate_from_point(n, result[0][0]), None
 
     def extend(ins, outs, c, inside, node):
         """The bit of the P an LP learns with c added to ins (inside) or to
@@ -348,7 +363,10 @@ def _enumerate(n, universe):
                 for t in O:
                     out_cores[t].append((I, O))
             return 0
-        return learn(_positive(cert, universe), cert)
+        P = _positive(cert, universe)
+        if not (ins <= P and P.isdisjoint(outs)):
+            raise InternalError(f"the certificate for {c} violates a decided triple")
+        return learn(P, cert)
 
     def record(ins, cert):
         nonlocal recorded
@@ -361,7 +379,7 @@ def _enumerate(n, universe):
     def dfs(ins, outs, undecided, node):
         # mask: the known P that satisfy (ins, outs), the node's certificates;
         # each forced decision lands on the side all of them already take.
-        # node: see solve; its rows are some of (ins, outs)
+        # node: see solve; its rows are the branch rows of (ins, outs)
         mask = holding(ins, outs)
         undecided = list(undecided)
         changed = True
@@ -380,7 +398,6 @@ def _enumerate(n, universe):
                     ins = ins | {c}
                 else:
                     outs = outs | {c}
-                node[2].append((c, held_in))
                 undecided.remove(c)
                 changed = True
         if holding(ins.union(undecided)) & recorded:

@@ -77,15 +77,31 @@ def test_nullcone_components_n2(tmp_path, capsys):
 
 
 def test_nullcone_components_n3_pinned(capsys, monkeypatch):
-    # the report is streamed: building it as one string would raise here
+    # the report is streamed: building it as one string would raise here,
+    # and each component's JSON is built only when the writer reaches it,
+    # so no two of the 126 are alive at once
     def whole(*args, **kwargs):
         raise AssertionError("the report was encoded as one string")
 
+    alive = [0, 0]  # now, most
+
+    class Tracked(dict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            alive[0] += 1
+            alive[1] = max(alive)
+
+        def __del__(self):
+            alive[0] -= 1
+
+    to_json = Support.to_json
     monkeypatch.setattr(json, "dumps", whole)
     monkeypatch.setattr(json.JSONEncoder, "encode", whole)
+    monkeypatch.setattr(Support, "to_json", lambda S: Tracked(to_json(S)))
     code, out, _ = run(capsys, "nullcone", "components", "--n", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COMPONENTS_N3_STDOUT_DIGEST
+    assert alive[1] == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +12,7 @@ import bordersub.nullcone as nullcone
 
 from bordersub import (
     CapExceededError,
+    InternalError,
     PreconditionError,
     Support,
     Symmetry,
@@ -242,6 +244,8 @@ def test_every_component_is_maximal_by_the_maximality_check(components_n3):
 
 
 CUBE3 = [t for t in product((1, 2, 3), repeat=3) if not t[0] == t[1] == t[2]]
+# the slice: the triples with three distinct indices
+SLICE3 = [t for t in CUBE3 if len(set(t)) == 3]
 # the search's group table at n = 3: each g with its map on CUBE3, the identity first
 TABLE3 = [(g, {t: g(t) for t in CUBE3}) for g in Symmetry.all(3)]
 
@@ -352,17 +356,8 @@ def test_farkas_core_images_are_infeasible_on_their_sides():
             assert nullcone._solve_system(3, image_in, image_out)[0] is None
 
 
-def test_lp_work_pinned(monkeypatch):
-    # certificate reuse answers most questions without an LP; solving each
-    # one took 7,544 phase-1 solves for the n = 3 enumeration, and
-    # [12, 12, 12, 12, 13, 6, 25] for these maximality checks; searching
-    # every member of each orbit, not just lex-leaders, took 711, and
-    # recording each Farkas core without its orbit took 248.  Every solve
-    # counts, from the start or from a kept dictionary, and so does every
-    # pivot: solving each LP from the start took 153 solves and 3,483
-    # pivots at n = 3, and 218, 188, 185, 193, 247, 5 and 8 pivots for the
-    # maximality checks; re-checking each leaf's maximality with an LP per
-    # triple outside it took 260 solves and 716 pivots
+def _count_lp_work(monkeypatch):
+    """[solves, pivots] of every Dictionary.solve from now on."""
     work = [0, 0]
     real = Dictionary.solve
 
@@ -374,15 +369,82 @@ def test_lp_work_pinned(monkeypatch):
         return out
 
     monkeypatch.setattr(Dictionary, "solve", counted)
+    return work
+
+
+def test_lp_work_pinned(monkeypatch):
+    # certificate reuse answers most questions without an LP; solving each
+    # one took 7,544 phase-1 solves for the n = 3 enumeration, and
+    # [12, 12, 12, 12, 13, 6, 25] for these maximality checks; searching
+    # every member of each orbit, not just lex-leaders, took 711, and
+    # recording each Farkas core without its orbit took 248.  Every solve
+    # counts, from the start or from a kept dictionary, and so does every
+    # pivot: solving each LP from the start took 153 solves and 3,483
+    # pivots at n = 3, and 218, 188, 185, 193, 247, 5 and 8 pivots for the
+    # maximality checks; re-checking each leaf's maximality with an LP per
+    # triple outside it took 260 solves and 716 pivots, and giving each
+    # node's LP a row for every decided triple, forced ones too, not just
+    # its branch rows, took 256 solves and 683 pivots
+    work = _count_lp_work(monkeypatch)
     enum = enumerate_maximal_components(3)
     assert len(enum.components) == 126
-    assert work == [256, 683]
+    assert work == [234, 458]
     counts = []
     for S in named_supports() + [Support.of(2, [(2, 1, 1)]), Support.of(3, [])]:
         work[:] = [0, 0]
         is_maximal_nullcone_support(S)
         counts.append(tuple(work))
     assert counts == [(12, 27), (12, 24), (12, 23), (12, 23), (13, 24), (4, 3), (9, 8)]
+
+
+def test_slice_search_at_n3_against_brute_force():
+    # a second universe, the all-distinct triples: its 2^6 subsets solved
+    # one by one from the start
+    feasible = [frozenset(S) for k in range(len(SLICE3) + 1) for S in combinations(SLICE3, k)
+                if nullcone._solve_system(3, S, ())[0] is not None]
+    maximal = {S for S in feasible if not any(S < T for T in feasible)}
+    found = nullcone._enumerate(3, SLICE3)
+    assert len(found) == len(set(found)) == 9
+    assert set(found) == maximal
+    assert all(len(S) == 4 for S in found)
+
+
+def test_slice_search_at_n4_pinned(monkeypatch):
+    work = _count_lp_work(monkeypatch)
+    universe = [t for t in product(range(1, 5), repeat=3) if len(set(t)) == 3]
+    found = nullcone._enumerate(4, universe)
+    # with a row for every decided triple, forced ones too: 1,672 / 5,195
+    assert work == [1507, 4992]
+    assert len(found) == len(set(found)) == 900
+    assert sorted(Counter(map(len, found)).items()) == [(13, 288), (14, 360), (15, 144), (16, 108)]
+    assert all(nullcone._solve_system(4, S, ())[0] is not None for S in found[::50])
+
+
+def test_a_certificate_violating_a_decided_triple_is_refused(monkeypatch):
+    # the search's LPs hold its branch rows only, so each answer is checked
+    # against every decided triple: here each feasible answer is replaced
+    # by a cocharacter that takes the asked side of the asked triple and
+    # ignores every other row, and the search must refuse one of them
+    asked = [((1, 1, 1), False)]  # the root's empty system takes the zero cocharacter
+    real = nullcone._extended
+
+    def spy(n, lp, rows, new):
+        asked.append(new[-1])
+        return real(n, lp, rows, new)
+
+    def careless(n, x):
+        (i, j, k), inside = asked[-1]
+        lam, mu = [0] * n, [0] * n
+        if inside and i != k:
+            lam[i - 1] = 1  # weight lam_i - lam_k = 1 at (i, j, k)
+        elif inside:
+            mu[j - 1] = 1  # weight mu_j - mu_k = 1, as j != k = i
+        return TorusWeight(n, lam, mu, [-a - b for a, b in zip(lam, mu)])
+
+    monkeypatch.setattr(nullcone, "_extended", spy)
+    monkeypatch.setattr(nullcone, "_certificate_from_point", careless)
+    with pytest.raises(InternalError, match="violates a decided triple"):
+        nullcone._enumerate(3, CUBE3)
 
 
 def test_record_runs_once_per_orbit(monkeypatch):
